@@ -50,7 +50,7 @@ def _deflate_center(coeffs: np.ndarray, center: complex) -> tuple[np.ndarray, in
     """Divide out (z - center) while the remainder is at roundoff level."""
     count = 0
     while coeffs.size > 1:
-        val, bound = _horner_with_bound(coeffs, center)
+        val, _, bound = _horner_with_bound(coeffs, center)
         if abs(val) > DEFLATION_GUARD * max(bound, 1e-300):
             break
         # synthetic division, discarding the negligible remainder

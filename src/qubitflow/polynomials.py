@@ -1,9 +1,17 @@
 """Dense complex polynomial arithmetic, all-roots finding, and derivative evaluation.
 
-The root finder is an Ehrlich-Aberth simultaneous iteration (see Bini,
-Numer. Algorithms 13, 1996) with deterministic starting points on a circle,
-followed by greedy multiplicity clustering and a Newton refinement of each
-cluster center on the appropriate derivative.
+The root finder is the Ehrlich-Aberth simultaneous iteration in Jacobi form
+(Bini, Numer. Algorithms 13, 1996): each sweep evaluates p, p' and a running
+roundoff bound at all approximations in one Horner pass of numpy array
+operations, then corrects every unconverged approximation from the previous
+sweep's positions.  Points outside the unit circle are evaluated on the
+reversed polynomial at 1/z, so a sweep never overflows.  The starting points
+come from the Newton polygon: each edge of the upper convex hull of
+(i, log|c_i|) places its share of the roots on a circle of the matching
+radius, at fixed angles so the output is deterministic.  Reaching the sweep
+cap raises ``RootFindingError``.  The approximations are then merged by
+greedy multiplicity clustering, and each cluster center of multiplicity m is
+refined by Newton's method on the (m-1)-th derivative.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ TRIM_REL_TOL = 1e-14
 CLUSTER_REL_RADIUS = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 500
+START_ANGLE = 0.7  # Bini's offset of the starting circles, in radians
 
 _EPS = np.finfo(float).eps
 
@@ -105,23 +114,36 @@ class Polynomial:
         return f"Polynomial({self.coeffs.tolist()})"
 
 
-def _horner_with_bound(coeffs: np.ndarray, z: complex) -> tuple[complex, float]:
-    """Evaluate by Horner and return a running bound on the roundoff in |p(z)|."""
+def _horner_with_bound(coeffs: np.ndarray, z):
+    """Horner values of p and p' at ``z``, with a running bound on the roundoff in |p(z)|.
+
+    ``z`` is a point or an array of points.  ``coeffs`` is in ascending degree
+    order; a 2-D ``coeffs`` holds one column of coefficients per point.
+    """
     b = coeffs[-1]
+    d = b * 0
     err = abs(b)
     az = abs(z)
     for c in coeffs[-2::-1]:
+        d = d * z + b
         b = b * z + c
         err = abs(b) + az * err
-    return b, err * _EPS
+    return b, d, err * _EPS
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of a polynomial, clustered into (location, multiplicity) pairs."""
+    """All roots of a polynomial, clustered into (location, multiplicity) pairs.
+
+    ``iterations`` is the number of Aberth sweeps used.  ``converged`` is True
+    for every set ``roots`` returns: a sweep that reaches its cap raises
+    ``RootFindingError`` instead.  Neither field is part of ``to_dict``.
+    """
 
     roots: tuple[tuple[complex, int], ...]
     residual: float
+    iterations: int = 0
+    converged: bool = True
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.roots)
@@ -130,51 +152,84 @@ class RootSet:
         return {"roots": [[r.real, r.imag, m] for r, m in self.roots]}
 
 
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Simultaneous root iteration on a monic-normalized coefficient array."""
-    n = coeffs.size - 1
+def _newton_polygon_starts(c: np.ndarray) -> np.ndarray:
+    """Bini's starting points: one circle per edge of the upper hull of (i, log|c_i|).
+
+    An edge from k0 to k1 carries k1 - k0 roots of modulus
+    (|c_k0| / |c_k1|)^(1 / (k1 - k0)); they are spread evenly on that circle
+    at a fixed angle offset, so the result is deterministic.
+    """
+    n = c.size - 1
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c))
+    hull: list[int] = []
+    for i in np.flatnonzero(c).tolist():
+        # drop the last vertex while it lies on or below the chord to point i
+        while len(hull) >= 2 and (logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-2]) <= (
+            logs[i] - logs[hull[-2]]
+        ) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(i)
+    k = np.array(hull)
+    counts = np.diff(k)
+    radius = np.exp(-np.diff(logs[k]) / counts)
+    k0 = np.repeat(k[:-1], counts)
+    m = np.repeat(counts, counts)
+    angles = 2.0 * np.pi * ((np.arange(n) - k0) / m + k0 / n) + START_ANGLE
+    return np.repeat(radius, counts) * np.exp(1j * angles)
+
+
+def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Aberth-Ehrlich iteration in Jacobi form on a monic coefficient array.
+
+    Returns the approximations and the number of sweeps used.  Each sweep
+    moves every active root from the previous sweep's positions.  A root
+    stops when |p| is within 4x its roundoff bound or its step is below
+    ``tol * (1 + |z|)``.  Points outside the unit circle are evaluated on the
+    reversed polynomial at 1/z, so no sweep overflows.
+    """
+    n = c.size - 1
     if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    c = coeffs / coeffs[-1]
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))
-    angles = 2.0 * np.pi * np.arange(n) / n + np.pi / (2.0 * n)
-    z = radius * np.exp(1j * angles)
-    dcoeffs = c[1:] * np.arange(1, n + 1)
-    done = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
-        moved = False
-        for k in range(n):
-            if done[k]:
-                continue
-            pv, bound = _horner_with_bound(c, z[k])
-            if abs(pv) <= 4.0 * bound:
-                done[k] = True
-                continue
-            dv, _ = _horner_with_bound(dcoeffs, z[k])
-            if dv == 0:
-                z[k] += (1e-6 + 1e-6j) * (1.0 + abs(z[k]))
-                moved = True
-                continue
-            newton = pv / dv
-            diffs = z[k] - np.delete(z, k)
-            if np.any(diffs == 0):
-                z[k] += (1e-6 - 1e-6j) * (1.0 + abs(z[k]))
-                moved = True
-                continue
-            denom = 1.0 - newton * np.sum(1.0 / diffs)
-            w = newton if denom == 0 else newton / denom
-            z[k] -= w
-            if abs(w) > tol * (1.0 + abs(z[k])):
-                moved = True
-            else:
-                done[k] = True
-        if not moved:
-            break
-    return z
+        return np.array([-c[0]]), 0
+    z = _newton_polygon_starts(c)
+    rev, fwd = c[::-1, None], c[:, None]
+    eye = np.eye(n)
+    active = np.ones(n, dtype=bool)
+    # a zero derivative or a coincident pair makes non-finite values; those
+    # roots are nudged instead of stepped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(1, max_iter + 1):
+            az = np.abs(z)
+            outside = az > 1.0
+            x = np.where(outside, 1.0 / z, z)
+            v, dv, bound = _horner_with_bound(np.where(outside, rev, fwd), x)
+            # p/p' = z q / (n q - x q') for the reversal q(x) = x^n p(1/x)
+            newton = np.where(outside, z * v, v) / np.where(outside, n * v - x * dv, dv)
+            # the identity keeps each root's pairing with itself out of the
+            # Aberth sum and out of the coincidence test
+            diffs = z[:, None] - z + eye
+            denom = 1.0 - newton * (1.0 / diffs - eye).sum(axis=1)
+            w = np.where(denom == 0, newton, newton / denom)
+            coincident = (diffs == 0).any(axis=1)
+            stuck = ~np.isfinite(np.where(coincident, newton, w))
+            nudge = 1e-6 * (1.0 + az)
+            step = np.where(coincident, (-1.0 + 1.0j) * nudge, w)
+            step = np.where(stuck, (-1.0 - 1.0j) * nudge, step)
+            conv = np.abs(v) <= 4.0 * bound
+            step[conv | ~active] = 0.0
+            z = z - step
+            small = np.abs(step) <= tol * (1.0 + np.abs(z))
+            active &= ~(conv | (small & ~stuck & ~coincident))
+            if not active.any():
+                return z, sweep
+    raise RootFindingError(
+        f"{int(active.sum())} of {n} roots still moving after {max_iter} Aberth sweeps"
+    )
 
 
 def _cluster(points: np.ndarray) -> list[list[int]]:
     """Greedy union of approximations within CLUSTER_REL_RADIUS * (1 + |root|)."""
+    points = points.tolist()
     order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
     parent = list(range(len(points)))
 
@@ -221,8 +276,9 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     """All complex roots of ``poly`` with multiplicities.
 
     Deterministic for a given input.  Raises ``ValueError`` for the zero
-    polynomial or a nonzero constant, and ``RootFindingError`` if any
-    reported root fails the backward-error residual check.
+    polynomial or a nonzero constant, and ``RootFindingError`` if roots are
+    still moving after ``max_iter`` sweeps or any reported root fails the
+    backward-error residual check.
     """
     if poly.degree < 1:
         raise ValueError("roots are undefined for a constant or zero polynomial")
@@ -234,8 +290,9 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     found: list[tuple[complex, int]] = []
     if origin_mult:
         found.append((0.0 + 0.0j, origin_mult))
+    sweeps = 0
     if coeffs.size > 1:
-        approx = _aberth(coeffs, tol, max_iter)
+        approx, sweeps = _aberth(coeffs / coeffs[-1], tol, max_iter)
         deflated = Polynomial(coeffs)
         for group in _cluster(approx):
             mult = len(group)
@@ -243,17 +300,22 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
             if mult > 1:
                 center = _refine_multiple(deflated, center, mult)
             found.append((center, mult))
-    scale = float(np.max(np.abs(poly.coeffs)))
-    residual = 0.0
-    for r, _ in found:
-        residual = max(residual, abs(poly(r)))
-        allowed = 1e-8 * scale * (1.0 + abs(r)) ** poly.degree
-        if abs(poly(r)) > allowed:
-            raise RootFindingError(
-                f"root {r} has residual {abs(poly(r)):.3e} above bound {allowed:.3e}"
-            )
+    # |p(r)| <= 1e-8 * scale * (1 + |r|)**degree, compared in log space because
+    # the bound overflows for large roots; a non-finite residual fails
+    at = np.array([r for r, _ in found])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = np.abs(_horner_with_bound(poly.coeffs, at)[0])
+        log_allowed = np.log10(1e-8 * np.max(np.abs(poly.coeffs))) + poly.degree * np.log10(
+            1.0 + np.abs(at)
+        )
+        failed = ~(np.log10(values) <= log_allowed)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise RootFindingError(
+            f"root {at[i]} has residual {values[i]:.3e} above bound 10^{log_allowed[i]:.1f}"
+        )
     ordered = tuple(sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)))
-    return RootSet(roots=ordered, residual=residual)
+    return RootSet(roots=ordered, residual=float(values.max()), iterations=sweeps)
 
 
 def _falling_factorial(c: int, k: int) -> int:

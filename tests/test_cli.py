@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qubitflow import QubitState, make_basis_state, qft
+from qubitflow import QubitState, defects, make_basis_state, qft, roots
 from qubitflow.cli import main
 
 
@@ -199,3 +199,19 @@ def test_validation_exit_codes(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["analyze", "--in", str(garbled)]) == 2
+
+
+def test_analyze_large_root_and_root_failure(tmp_path, monkeypatch, capsys):
+    # numerator (z - 1e13)(z^23 - 0.5^23): its residual bound exceeds the float range
+    terms = [[0, [1e13 * 0.5**23, 0.0]], [1, [-(0.5**23), 0.0]], [23, [-1e13, 0.0]], [24, [1.0, 0.0]]]
+    field = tmp_path / "wide.json"
+    field.write_text(json.dumps({"type": "laurent", "terms": terms}))
+    out = tmp_path / "wide_report.json"
+    assert main(["analyze", "--in", str(field), "--out", str(out)]) == 0
+    zeros = json.loads(out.read_text())["defects"]["zeros"]
+    assert sum(m for _, _, m in zeros) == 24
+    assert max(abs(complex(re, im)) for re, im, _ in zeros) == pytest.approx(1e13, rel=1e-9)
+    # a root finder stopped at its sweep cap is a numerical failure, not a crash
+    monkeypatch.setattr(defects, "roots", lambda p: roots(p, max_iter=1))
+    assert main(["analyze", "--in", str(field), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -7,9 +7,15 @@ from qubitflow import (
     LaurentField,
     PoleEvaluationError,
     Polynomial,
+    QubitState,
     RationalField,
+    RootFindingError,
+    charge_map,
     derivative_eval,
+    make_position_config,
+    position_map,
     roots,
+    tensor,
     wronskian_matrix,
 )
 
@@ -106,6 +112,82 @@ def test_roots_of_product_union():
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert abs(a - b) < 1e-6
+
+
+def _random_state(rng, n, product):
+    def amps(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    if not product:
+        return QubitState(n, amps(2**n))
+    state = QubitState(1, amps(2))
+    for _ in range(n - 1):
+        state = tensor(state, QubitState(1, amps(2)))
+    return state
+
+
+def _charge_numerator(field):
+    cmin = min(field.terms)
+    coeffs = np.zeros(max(field.terms) - cmin + 1, dtype=complex)
+    for c, a in field.terms.items():
+        coeffs[c - cmin] = a
+    return Polynomial(coeffs)
+
+
+def _separated_roots(rng, degree, gap=0.1):
+    found = []
+    while len(found) < degree:
+        r = complex(*rng.uniform(-2.0, 2.0, size=2))
+        if all(abs(r - q) >= gap for q in found):
+            found.append(r)
+    return found
+
+
+def test_roots_match_numpy_oracle():
+    rng = np.random.default_rng(2202)
+    random_polys = [
+        Polynomial.from_linear_factors([(r, 1) for r in _separated_roots(rng, deg)])
+        for deg in range(1, 31)
+    ]
+    family_polys = []
+    for n in (2, 3, 4):
+        cfg = make_position_config(n)
+        for product in (True, False):
+            for _ in range(4):
+                family_polys.append(position_map(_random_state(rng, n, product), cfg).numerator)
+    for n in (2, 3):
+        for product in (True, False):
+            for _ in range(4):
+                family_polys.append(_charge_numerator(charge_map(_random_state(rng, n, product))))
+    for p in random_polys + family_polys:
+        rs = roots(p)
+        assert rs.total_multiplicity() == p.degree
+        assert rs.converged and rs.iterations <= 60
+        found = np.array([r for r, _ in rs.roots])
+        for r in np.roots(p.coeffs[::-1]):
+            assert np.min(np.abs(found - r)) <= 1e-8 * (1 + abs(r))
+        assert repr(roots(p)) == repr(rs)  # deterministic to the bit
+
+
+def test_roots_iteration_cap_raises():
+    state = _random_state(np.random.default_rng(3), 3, product=False)
+    numerator = position_map(state, make_position_config(3)).numerator
+    assert numerator.degree == 18
+    with pytest.raises(RootFindingError, match="after 1 Aberth sweeps"):
+        roots(numerator, max_iter=1)
+
+
+def test_roots_large_root_without_overflow():
+    # (z - 1e13)(z^23 - 0.5^23): the residual bound (1 + |r|)^24 exceeds the float range
+    coeffs = np.zeros(25, dtype=complex)
+    coeffs[[0, 1, 23, 24]] = [1e13 * 0.5**23, -(0.5**23), -1e13, 1.0]
+    rs = roots(Polynomial(coeffs))
+    assert rs.total_multiplicity() == 24
+    largest = max((r for r, _ in rs.roots), key=abs)
+    assert abs(largest - 1e13) <= 1e-9 * 1e13
+    for r, m in rs.roots:
+        if r != largest:
+            assert m == 1 and abs(abs(r) - 0.5) <= 1e-9
 
 
 def test_roots_rejects_constants():

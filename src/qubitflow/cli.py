@@ -9,6 +9,7 @@ success, 2 on validation problems, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,12 +80,7 @@ def cmd_state(args) -> int:
 
 def cmd_map(args) -> int:
     st = states.QubitState.from_dict(json.loads(_read_text(args.infile)))
-    if args.rep == "charge":
-        cfg = fields_mod.make_charge_config(st.n, args.d)
-        field = fields_mod.charge_map(st, cfg.d)
-    else:
-        cfg = _config_from_args(args, st.n)
-        field = fields_mod.position_map(st, cfg)
+    field = fields_mod.map_state(st, _config_from_args(args, st.n))
     _emit_json(args.out, field.to_dict())
     return 0
 
@@ -111,12 +107,6 @@ def cmd_gram(args) -> int:
     ctx = inner_products.build_gram(cfg)
     _emit_json(args.out, ctx.to_dict())
     return 0
-
-
-def _map_state(st: states.QubitState, cfg: fields_mod.RepresentationConfig):
-    if cfg.kind == "charge":
-        return fields_mod.charge_map(st, cfg.d)
-    return fields_mod.position_map(st, cfg)
 
 
 def cmd_circuit(args) -> int:
@@ -149,7 +139,7 @@ def cmd_circuit(args) -> int:
     for k, (name, targets, step_state) in enumerate(history):
         entry = {"op": name, "targets": list(targets), "state": step_state.to_dict()}
         if cfg is not None:
-            field = _map_state(step_state, cfg)
+            field = fields_mod.map_state(step_state, cfg)
             entry["field"] = field.to_dict()
             if args.render is not None:
                 bbox = tuple(float(t) for t in args.bbox.split(","))
@@ -233,11 +223,7 @@ def cmd_checkli(args) -> int:
     else:
         if args.n is None:
             raise ValueError("give --in or --n")
-        cfg = _config_from_args(args, args.n)
-        if cfg.kind == "charge":
-            flds = fields_mod.charge_basis_fields(cfg.n, cfg.d)
-        else:
-            flds = fields_mod.position_basis_fields(cfg)
+        flds = fields_mod.basis_fields(_config_from_args(args, args.n))
     ok, rank = fields_mod.check_linear_independence(flds)
     _emit_json(args.out, {"independent": ok, "rank": rank, "count": len(flds)})
     return 0
@@ -249,7 +235,9 @@ def _add_rep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--defects", nargs="*", default=None, help="centers as complex literals, e.g. -1 1j")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The nine-subcommand parser, built once and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(prog="qubitflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import LaurentField, RationalField, RepresentationConfig, eval_field, position_map
+from .fields import RationalField, RepresentationConfig, eval_many, position_map
 from .polynomials import Polynomial, _horner_with_bound, roots
 from .states import QubitState, factor_out_qubit
 
@@ -65,63 +65,39 @@ def _deflate_center(coeffs: np.ndarray, center: complex) -> tuple[np.ndarray, in
 
 
 def extract_defects(field) -> DefectSet:
-    """Locate all zeros and poles of a field.  The zero field is rejected."""
-    if isinstance(field, LaurentField):
-        if field.is_zero():
-            raise ValueError("the zero field has no defects")
-        cmin = min(field.terms)
-        cmax = max(field.terms)
-        coeffs = np.zeros(cmax - cmin + 1, dtype=complex)
-        for c, a in field.terms.items():
-            coeffs[c - cmin] = a
-        poly = Polynomial(coeffs)
-        zeros: list[tuple[complex, int]] = []
-        if poly.degree >= 1:
-            zeros.extend(roots(poly).roots)
-        if cmin > 0:
-            zeros.insert(0, (0j, cmin))
-        poles = ((0j, -cmin),) if cmin < 0 else ()
-        return DefectSet(tuple(zeros), poles, cmin + poly.degree)
+    """Locate all zeros and poles of a field.  The zero field is rejected.
 
-    if isinstance(field, RationalField):
-        if field.is_zero():
-            raise ValueError("the zero field has no defects")
-        agg: dict[complex, int] = {}
-        for a, m in field.denominator_spec:
-            agg[a] = agg.get(a, 0) + m
-        coeffs = field.numerator.coeffs.copy()
-        numer_degree = field.numerator.degree
-        center_mult: dict[complex, int] = {}
-        for a in agg:
-            coeffs, count = _deflate_center(coeffs, a)
-            center_mult[a] = count
-        rest = Polynomial(coeffs)
-        off_center: list[tuple[complex, int]] = []
-        if rest.degree >= 1:
-            for r, m in roots(rest).roots:
-                near = None
-                for a in agg:
-                    if abs(r - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a)):
-                        near = a
-                        break
-                if near is None:
-                    off_center.append((r, m))
-                else:
-                    center_mult[near] += m
-        zeros = []
-        poles = []
-        for a in agg:
-            net = center_mult[a] - agg[a]
-            if net > 0:
-                zeros.append((a, net))
-            elif net < 0:
-                poles.append((a, -net))
-        zeros.extend(off_center)
-        zeros.sort(key=lambda zm: (zm[0].real, zm[0].imag))
-        poles.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-        return DefectSet(tuple(zeros), tuple(poles), numer_degree - sum(agg.values()))
+    Numerator zeros on a pole location are divided out first, so zeros and
+    poles never share a location; both lists are in (re, im) order.
+    """
+    if field.is_zero():
+        raise ValueError("the zero field has no defects")
+    agg: dict[complex, int] = {}
+    for a, m in field.denominator_spec:
+        agg[a] = agg.get(a, 0) + m
+    coeffs = field.numerator.coeffs.copy()
+    center_mult: dict[complex, int] = {}
+    for a in agg:
+        coeffs, center_mult[a] = _deflate_center(coeffs, a)
+    rest = Polynomial(coeffs)
+    off_center: list[tuple[complex, int]] = []
+    for r, m in roots(rest).roots if rest.degree >= 1 else ():
+        near = next((a for a in agg if abs(r - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a))), None)
+        if near is None:
+            off_center.append((r, m))
+        else:
+            center_mult[near] += m
+    zeros = [(a, k - agg[a]) for a, k in center_mult.items() if k > agg[a]] + off_center
+    poles = [(a, agg[a] - k) for a, k in center_mult.items() if k < agg[a]]
+    return DefectSet(
+        tuple(sorted(zeros, key=_plane_order)),
+        tuple(sorted(poles, key=_plane_order)),
+        field.numerator.degree - sum(agg.values()),
+    )
 
-    raise TypeError(f"unsupported field type {type(field)!r}")
+
+def _plane_order(loc_mult: tuple[complex, int]) -> tuple[float, float]:
+    return loc_mult[0].real, loc_mult[0].imag
 
 
 @dataclass(frozen=True)
@@ -254,7 +230,7 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
         if a is not None:
             remaining[a] += m
     sites: list[list] = [[a, remaining[a]] for a in centers]
-    for z, m in sorted(defect_set.zeros, key=lambda zm: (zm[0].real, zm[0].imag)):
+    for z, m in sorted(defect_set.zeros, key=_plane_order):
         if center_of(z) is None:
             sites.append([z, m])
 
@@ -303,8 +279,8 @@ def _witness_matches(field: RationalField, witness, cfg: RepresentationConfig) -
         if h_beta != 0:
             radius = max(radius, 2.0 * abs(h_alpha / h_beta) ** (1.0 / (2 * cfg.d)))
     pts = radius * np.exp(1j * (2.0 * np.pi * np.arange(20) / 20.0 + 0.377))
-    f_vals = np.array([eval_field(field, z)[0] for z in pts])
-    w_vals = np.array([eval_field(wf, z)[0] for z in pts])
+    f_vals = eval_many(field, pts)
+    w_vals = eval_many(wf, pts)
     denom = np.vdot(w_vals, w_vals)
     if denom == 0:
         return False

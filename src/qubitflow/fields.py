@@ -7,20 +7,28 @@ defect per qubit at a chosen plane point ``a_j`` and sends a basis state to
 ``prod_j (z - a_j)**((2*sigma_j - 1) * d)``, stored as a rational field over
 the fixed denominator ``prod_j (z - a_j)**d``.
 
+Every consumer reads a field through one form: a ``numerator`` polynomial over
+the poles ``denominator_spec``, ``(a, m)`` pairs meaning ``prod (z - a)**m``.
+A Laurent field keeps its sparse terms for serialization and the circle
+product, and derives that form on first use: the coefficients shifted by
+``k = max(0, -min c)`` over a pole of order k at the origin.
+
 The physical velocity is read from a field value ``f`` as ``(u, v) =
 (Re f, -Im f)``.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .errors import PoleEvaluationError
+from .errors import PoleEvaluationError, QubitFlowError
 from .polynomials import Polynomial
-from .states import QubitState, bits_of_index
+from .states import QubitState, bits_of_index, complex_from_pair, make_basis_state
 
 RANK_RTOL = 1e-9
 
@@ -92,12 +100,32 @@ def make_position_config(n: int, d: int | None = None, defects=None) -> Represen
 
 @dataclass
 class LaurentField:
-    """Sparse Laurent polynomial: exponent -> coefficient, zeros omitted."""
+    """Sparse Laurent polynomial: exponent -> coefficient, zeros omitted.
+
+    ``numerator`` and ``denominator_spec`` are the same field in rational
+    form, computed on first use and cached, so ``terms`` must not change
+    afterwards.
+    """
 
     terms: dict[int, complex]
 
     def __post_init__(self):
         self.terms = {int(c): complex(a) for c, a in self.terms.items() if a != 0}
+        for c, a in self.terms.items():
+            if not cmath.isfinite(a):
+                raise ValueError(f"non-finite coefficient {a} of z**{c}")
+
+    @cached_property
+    def denominator_spec(self) -> tuple[tuple[complex, int], ...]:
+        k = -min(self.terms, default=0)
+        return ((0j, k),) if k > 0 else ()
+
+    @cached_property
+    def numerator(self) -> Polynomial:
+        k = sum(m for _, m in self.denominator_spec)
+        coeffs = np.zeros(max(self.terms, default=0) + k + 1, dtype=complex)
+        coeffs[np.fromiter(self.terms, int, len(self.terms)) + k] = list(self.terms.values())
+        return Polynomial(coeffs)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,12 +158,6 @@ class RationalField:
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
 
-    def denominator_polynomial(self) -> Polynomial:
-        return Polynomial.from_linear_factors(self.denominator_spec)
-
-    def poles(self) -> tuple[complex, ...]:
-        return tuple(a for a, _ in self.denominator_spec)
-
     def to_dict(self) -> dict:
         ds = {m for _, m in self.denominator_spec}
         if len(ds) != 1:
@@ -151,10 +173,10 @@ class RationalField:
 def field_from_dict(data: dict):
     kind = data.get("type")
     if kind == "laurent":
-        return LaurentField({int(c): complex(re, im) for c, (re, im) in data["terms"]})
+        return LaurentField({int(c): complex_from_pair(a) for c, a in data["terms"]})
     if kind == "rational":
-        numer = Polynomial([complex(re, im) for re, im in data["numerator"]])
-        spec = tuple((complex(re, im), int(data["d"])) for re, im in data["defects"])
+        numer = Polynomial([complex_from_pair(c) for c in data["numerator"]])
+        spec = tuple((complex_from_pair(a), int(data["d"])) for a in data["defects"])
         return RationalField(numer, spec)
     raise ValueError(f"unknown field type {kind!r}")
 
@@ -213,17 +235,9 @@ def charge_basis_fields(n: int, d: int) -> list[LaurentField]:
 
 
 def position_basis_fields(cfg: RepresentationConfig) -> list[RationalField]:
-    out = []
-    for i in range(2**cfg.n):
-        bits = bits_of_index(i, cfg.n)
-        factors = [(cfg.defects[j], 2 * cfg.d) for j, b in enumerate(bits) if b == "1"]
-        out.append(
-            RationalField(
-                Polynomial.from_linear_factors(factors),
-                tuple((a, cfg.d) for a in cfg.defects),
-            )
-        )
-    return out
+    return [
+        position_map(make_basis_state(cfg.n, bits_of_index(i, cfg.n)), cfg) for i in range(2**cfg.n)
+    ]
 
 
 def laurent_mul(f1: LaurentField, f2: LaurentField) -> LaurentField:
@@ -235,82 +249,87 @@ def laurent_mul(f1: LaurentField, f2: LaurentField) -> LaurentField:
     return LaurentField(terms)
 
 
+def basis_fields(cfg: RepresentationConfig) -> list:
+    """The 2**n basis fields of a configuration, in basis-index order."""
+    if cfg.kind == "charge":
+        return charge_basis_fields(cfg.n, cfg.d)
+    return position_basis_fields(cfg)
+
+
+def map_state(state: QubitState, cfg: RepresentationConfig):
+    """The field of a state under either representation."""
+    if cfg.kind == "charge":
+        return charge_map(state, cfg.d)
+    return position_map(state, cfg)
+
+
+def eval_many(fld, z) -> np.ndarray:
+    """Field values at an array of points, shaped like ``z``.
+
+    Horner on the numerator, divided by the factored denominator.  A point
+    exactly on a pole raises ``PoleEvaluationError``; a non-finite value
+    anywhere else (overflow) raises ``QubitFlowError``.
+    """
+    z = np.asarray(z, dtype=complex)
+    coeffs = fld.numerator.coeffs
+    with np.errstate(all="ignore"):
+        # Horner in real arithmetic: numpy's complex multiply may fuse
+        # operations on some CPUs, so its roundoff would depend on the host
+        x, y = z.real, z.imag
+        re, im = np.full(z.shape, coeffs[-1].real), np.full(z.shape, coeffs[-1].imag)
+        for c in coeffs[-2::-1]:
+            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+        num = re + 1j * im
+        den = np.ones_like(z)
+        for a, m in fld.denominator_spec:
+            diff = z - a
+            if np.any(diff == 0):
+                raise PoleEvaluationError(a)
+            den = den * diff**m
+        val = num / den
+    bad = ~np.isfinite(val)
+    if bad.any():
+        raise QubitFlowError(f"non-finite field value at z = {z[bad].flat[0]}")
+    return val
+
+
 def eval_field(fld, z: complex) -> tuple[complex, tuple[float, float]]:
     """Field value and velocity components (u, v) = (Re f, -Im f) at z."""
-    zc = complex(z)
-    if isinstance(fld, LaurentField):
-        if zc == 0 and any(c < 0 for c in fld.terms):
-            raise PoleEvaluationError(0j)
-        val = sum(a * zc**c for c, a in fld.terms.items())
-    elif isinstance(fld, RationalField):
-        den = 1.0 + 0.0j
-        for a, m in fld.denominator_spec:
-            diff = zc - a
-            if diff == 0:
-                raise PoleEvaluationError(a)
-            den *= diff**m
-        val = fld.numerator(zc) / den
-    else:
-        raise TypeError(f"unsupported field type {type(fld)!r}")
-    val = complex(val)
+    val = complex(eval_many(fld, complex(z)))
     return val, (val.real, -val.imag)
 
 
 def _common_numerators(fields) -> list[np.ndarray]:
-    """Rewrite mixed fields over one shared denominator; return numerator rows."""
-    if all(isinstance(f, LaurentField) for f in fields):
-        # pure Laurent families reduce to exponent bookkeeping
-        cmin = min((min(f.terms) for f in fields if f.terms), default=0)
-        cmax = max((max(f.terms) for f in fields if f.terms), default=0)
-        shift = max(0, -cmin)
-        rows = []
-        for f in fields:
-            row = np.zeros(cmax + shift + 1, dtype=complex)
-            for c, a in f.terms.items():
-                row[c + shift] = a
-            rows.append(row)
-        return rows
+    """Rewrite fields over one shared denominator; return numerator rows."""
     specs = []
     for f in fields:
-        if isinstance(f, LaurentField):
-            cmin = min(f.terms, default=0)
-            specs.append({0j: -cmin} if cmin < 0 else {})
-        elif isinstance(f, RationalField):
-            agg: dict[complex, int] = {}
-            for a, m in f.denominator_spec:
-                agg[a] = agg.get(a, 0) + m
-            specs.append(agg)
-        else:
-            raise TypeError(f"unsupported field type {type(f)!r}")
+        agg: dict[complex, int] = {}
+        for a, m in f.denominator_spec:
+            agg[a] = agg.get(a, 0) + m
+        specs.append(agg)
     common: dict[complex, int] = {}
     for spec in specs:
         for a, m in spec.items():
             common[a] = max(common.get(a, 0), m)
     rows = []
     for f, spec in zip(fields, specs):
-        if isinstance(f, LaurentField):
-            cmin = min(f.terms, default=0)
-            shift = max(0, -cmin)
-            size = (max(f.terms, default=0) + shift + 1) if f.terms else 1
-            coeffs = np.zeros(size, dtype=complex)
-            for c, a in f.terms.items():
-                coeffs[c + shift] = a
-            numer = Polynomial(coeffs) if f.terms else Polynomial([0.0])
-        else:
-            numer = f.numerator
-        missing = [(a, m - spec.get(a, 0)) for a, m in common.items() if m > spec.get(a, 0)]
-        if missing:
-            numer = numer * Polynomial.from_linear_factors(missing)
-        rows.append(numer.coeffs)
+        numer = f.numerator.coeffs
+        for a, m in common.items():
+            k = m - spec.get(a, 0)
+            if k and a == 0:
+                numer = np.concatenate([np.zeros(k, dtype=complex), numer])  # times z**k
+            elif k:
+                numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
+        rows.append(numer)
     return rows
 
 
 def check_linear_independence(fields) -> tuple[bool, int]:
     """Numerical rank of a field list via singular values of a coefficient matrix.
 
-    Fields are rewritten over a common denominator (pure Laurent fields use
-    powers of z), stacked as coefficient rows, and the rank counts singular
-    values above RANK_RTOL times the largest.
+    Fields are rewritten over a common denominator, stacked as coefficient
+    rows, and the rank counts singular values above RANK_RTOL times the
+    largest.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -328,8 +347,8 @@ def check_linear_independence(fields) -> tuple[bool, int]:
 
 def evaluation_matrix(cfg: RepresentationConfig, points) -> np.ndarray:
     """Field values of the basis family at chosen plane points, one row per point."""
-    basis = charge_basis_fields(cfg.n, cfg.d) if cfg.kind == "charge" else position_basis_fields(cfg)
-    return np.array([[eval_field(f, complex(b))[0] for f in basis] for b in points])
+    pts = np.asarray(points, dtype=complex)
+    return np.column_stack([eval_many(f, pts) for f in basis_fields(cfg)])
 
 
 def nonsingularity_gap(matrix: np.ndarray, sweeps: int = 50) -> float:

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .fields import (
-    LaurentField,
-    RepresentationConfig,
-    charge_basis_fields,
-    position_basis_fields,
-)
-from .polynomials import derivative_eval
+from .fields import LaurentField, RepresentationConfig, basis_fields
+from .polynomials import derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
+CONDITION_TIE_RTOL = 1e-9
 PROBE_RADII = (0.3, 0.7, 1.7, 2.9)
 PROBE_ANGLES = 16
 PROBE_KEEPOUT = 1e-3
@@ -57,40 +53,33 @@ class GramContext:
         }
 
 
-def _basis_fields(cfg: RepresentationConfig):
-    if cfg.kind == "charge":
-        return charge_basis_fields(cfg.n, cfg.d)
-    return position_basis_fields(cfg)
-
-
 def build_gram(cfg: RepresentationConfig) -> GramContext:
     """Pick the best-conditioned probe point from a fixed candidate grid.
 
-    Candidates on four circles are scanned in a fixed order and the matrix
-    with the smallest 2-norm condition number wins; anything above 1e8 is
-    rejected as numerically useless.
+    Candidates on four circles are scanned in a fixed order, and the first
+    whose 2-norm condition number is within CONDITION_TIE_RTOL of the
+    smallest wins, so exact ties (every angle on a circle, for charge bases)
+    do not hang on roundoff.  Anything above 1e8 is rejected as numerically
+    useless.
     """
-    fields = _basis_fields(cfg)
-    m = len(fields)
-    keepout = list(cfg.defects) if cfg.kind == "position" else [0j]
-    best = None
+    fields = basis_fields(cfg)
+    keepout = {a for f in fields for a, _ in f.denominator_spec}
+    scanned = []
     for r in PROBE_RADII:
         for k in range(PROBE_ANGLES):
             alpha = r * np.exp(2j * np.pi * k / PROBE_ANGLES)
             if min(abs(alpha - p) for p in keepout) < PROBE_KEEPOUT:
                 continue
-            b = np.column_stack([derivative_eval(f, alpha, m - 1) for f in fields])
+            b = wronskian_matrix(fields, alpha)
             cond = float(np.linalg.cond(b))
-            if not np.isfinite(cond):
-                continue
-            if best is None or cond < best[0]:
-                best = (cond, complex(alpha), b)
-    if best is None or best[0] > CONDITION_LIMIT:
-        raise ConditioningError(
-            None if best is None else best[1],
-            float("inf") if best is None else best[0],
-        )
-    cond, alpha, b = best
+            if np.isfinite(cond):
+                scanned.append((cond, complex(alpha), b))
+    if not scanned:
+        raise ConditioningError(None, float("inf"))
+    tie = min(item[0] for item in scanned) * (1.0 + CONDITION_TIE_RTOL)
+    cond, alpha, b = next(item for item in scanned if item[0] <= tie)
+    if cond > CONDITION_LIMIT:
+        raise ConditioningError(alpha, cond)
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)

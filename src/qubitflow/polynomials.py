@@ -16,8 +16,8 @@ refined by Newton's method on the (m-1)-th derivative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -36,8 +36,9 @@ class Polynomial:
     """Polynomial with dense complex coefficients in ascending degree order.
 
     Trailing coefficients smaller than ``TRIM_REL_TOL * max|coeff|`` are
-    dropped at construction.  The zero polynomial is stored as a single zero
-    coefficient and reports degree -1.
+    dropped at construction, and a non-finite coefficient raises ``ValueError``.
+    The zero polynomial is stored as a single zero coefficient and reports
+    degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -46,7 +47,9 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        scale = float(np.max(np.abs(c))) if c.size else 0.0
+        scale = float(np.abs(c).max()) if c.size else 0.0
+        if not math.isfinite(scale):
+            raise ValueError(f"non-finite polynomial coefficient {c[~np.isfinite(c)][0]}")
         if scale > 0.0:
             keep = np.nonzero(np.abs(c) > TRIM_REL_TOL * scale)[0]
             c = c[: keep[-1] + 1].copy() if keep.size else np.zeros(1, dtype=complex)
@@ -318,75 +321,33 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     return RootSet(roots=ordered, residual=float(values.max()), iterations=sweeps)
 
 
-def _falling_factorial(c: int, k: int) -> int:
-    f = 1
-    for i in range(k):
-        f *= c - i
-    return f
-
-
-def _laurent_derivatives(terms: dict, alphac: complex, max_order: int) -> np.ndarray:
-    if alphac == 0 and any(c < 0 for c in terms):
-        raise PoleEvaluationError(0.0 + 0.0j)
-    out = np.zeros(max_order + 1, dtype=complex)
-    for c, coef in terms.items():
-        for k in range(max_order + 1):
-            ff = _falling_factorial(c, k)
-            if ff == 0:
-                continue
-            if alphac == 0:
-                if c - k == 0:
-                    out[k] += coef * ff
-                elif c - k > 0:
-                    continue
-            else:
-                out[k] += coef * ff * alphac ** (c - k)
-    return out
-
-
-def _rational_derivatives(
-    numer: Polynomial, denom: Polynomial, alphac: complex, max_order: int, pole_hint=None
-) -> np.ndarray:
-    q0 = denom(alphac)
-    if q0 == 0:
-        raise PoleEvaluationError(pole_hint if pole_hint is not None else alphac)
-    # Leibniz inversion of N = f * Q gives an exact recurrence for f^(k)(alpha)
-    nd = [numer]
-    qd = [denom]
-    for _ in range(max_order):
-        nd.append(nd[-1].derivative())
-        qd.append(qd[-1].derivative())
-    nvals = np.array([p(alphac) for p in nd])
-    qvals = np.array([p(alphac) for p in qd])
-    f = np.zeros(max_order + 1, dtype=complex)
-    for k in range(max_order + 1):
-        acc = nvals[k]
-        for i in range(k):
-            acc -= comb(k, i) * f[i] * qvals[k - i]
-        f[k] = acc / q0
-    return f
-
-
 def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
     """Complex derivatives ``[f(alpha), Df(alpha), ..., D^m f(alpha)]`` of a field.
 
-    Works for both sparse Laurent fields and numerator/denominator rational
-    fields, using exact recurrences rather than finite differences.
+    Exact, with no finite differences: the numerator's Taylor coefficients at
+    alpha come from one Horner pass of repeated synthetic division, and are
+    multiplied by the binomial series of every denominator factor,
+    (alpha + h - a)**-m = sum_j C(m+j-1, j) (-h)**j (alpha - a)**(-m-j),
+    truncated at ``max_order``.
     """
     alphac = complex(alpha)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if hasattr(field, "terms"):
-        return _laurent_derivatives(field.terms, alphac, max_order)
-    if hasattr(field, "numerator"):
-        pole = None
-        for a, _ in field.denominator_spec:
-            if alphac == complex(a):
-                pole = complex(a)
-        return _rational_derivatives(
-            field.numerator, field.denominator_polynomial(), alphac, max_order, pole_hint=pole
-        )
-    raise TypeError(f"unsupported field type {type(field)!r}")
+    # shifted[1 + j] holds the Taylor coefficient of order j, shifted[0] the
+    # next numerator coefficient
+    shifted = np.zeros(max_order + 2, dtype=complex)
+    for c in field.numerator.coeffs[::-1]:
+        shifted[0] = c
+        shifted[1:] = shifted[1:] * alphac + shifted[:-1]
+    series = shifted[1:]
+    j = np.arange(1.0, max_order + 1)
+    for a, m in field.denominator_spec:
+        gap = alphac - a
+        if gap == 0:
+            raise PoleEvaluationError(a)
+        factor = np.cumprod(np.concatenate(([gap**-m], (1.0 - m - j) / (j * gap))))
+        series = np.convolve(series, factor)[: max_order + 1]
+    return series * np.cumprod(np.concatenate(([1.0], j)))
 
 
 def wronskian_matrix(fields, alpha: complex, order: int | None = None) -> np.ndarray:

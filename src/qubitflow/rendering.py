@@ -19,18 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defects import DefectSet, HaloReport
-from .fields import LaurentField, RationalField, eval_field
+from .fields import eval_many
 
 POLE_KEEPOUT = 1e-9
 HALO_COLORS = ("red", "green", "blue", "brown")
 
 
-def _pole_locations(field) -> list[complex]:
-    if isinstance(field, RationalField):
-        return [a for a, _ in field.denominator_spec]
-    if isinstance(field, LaurentField):
-        return [0j] if any(c < 0 for c in field.terms) else []
-    raise TypeError(f"unsupported field type {type(field)!r}")
+def _near_pole(field, z: np.ndarray) -> np.ndarray:
+    """Mask of the points within POLE_KEEPOUT of a pole of the field."""
+    near = np.zeros(z.shape, dtype=bool)
+    for a, _ in field.denominator_spec:
+        near |= np.abs(z - a) < POLE_KEEPOUT
+    return near
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,19 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
         raise ValueError("bounding box is degenerate")
     if clip <= 0:
         raise ValueError("clip length must be positive")
-    poles = _pole_locations(field)
-    xs = np.linspace(xmin, xmax, nx)
-    ys = np.linspace(ymin, ymax, ny)
-    size = nx * ny
-    gx = np.empty(size)
-    gy = np.empty(size)
-    gu = np.empty(size)
-    gv = np.empty(size)
-    gc = np.zeros(size, dtype=bool)
-    i = 0
-    for yv in ys:
-        for xv in xs:
-            gx[i], gy[i] = xv, yv
-            z = complex(xv, yv)
-            if poles and min(abs(z - p) for p in poles) < POLE_KEEPOUT:
-                gu[i] = gv[i] = 0.0
-                gc[i] = True
-            else:
-                _, (u, v) = eval_field(field, z)
-                mag = math.hypot(u, v)
-                if mag > clip:
-                    scale = clip / mag
-                    u, v = u * scale, v * scale
-                    gc[i] = True
-                gu[i], gv[i] = u, v
-            i += 1
+    gx = np.tile(np.linspace(xmin, xmax, nx), ny)
+    gy = np.repeat(np.linspace(ymin, ymax, ny), nx)
+    z = gx + 1j * gy
+    gc = _near_pole(field, z)
+    vals = eval_many(field, z[~gc])
+    gu, gv = np.zeros(z.size), np.zeros(z.size)
+    gu[~gc], gv[~gc] = vals.real, -vals.imag
+    mag = np.hypot(gu, gv)
+    over = mag > clip
+    scale = clip / mag[over]
+    gu[over] *= scale
+    gv[over] *= scale
+    gc |= over
     for arr in (gx, gy, gu, gv, gc):
         arr.setflags(write=False)
     return FieldGrid((xmin, xmax, ymin, ymax), nx, ny, gx, gy, gu, gv, gc)
@@ -227,32 +214,41 @@ class SphereSample:
     tangent: tuple[float, float, float]
 
 
-def _sphere_point(theta: float, phi: float) -> tuple[float, float, float]:
-    st = math.sin(theta)
-    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+def _pullback(field, theta: np.ndarray, phi: np.ndarray, skip_poles: bool = False):
+    """(theta, phi, points, tangents M(p) V(g(p))) at arrays of angles, one row each.
 
-
-def _pullback_matrix(p: tuple[float, float, float]) -> np.ndarray:
-    x, y, z = p
-    return np.array(
+    With ``skip_poles``, points whose planar image is near a pole are dropped.
+    """
+    st = np.sin(theta)
+    x, y, zc = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+    w = x / (1.0 - zc) + 1j * (y / (1.0 - zc))
+    if skip_poles:
+        keep = ~_near_pole(field, w)
+        theta, phi, x, y, zc, w = (a[keep] for a in (theta, phi, x, y, zc, w))
+    f = eval_many(field, w)
+    u, v = f.real, -f.imag
+    tangents = np.column_stack(
         [
-            [-x * x + 1.0 - z, -x * y],
-            [-x * y, -y * y + 1.0 - z],
-            [x * (1.0 - z), y * (1.0 - z)],
+            (-x * x + 1.0 - zc) * u - x * y * v,
+            -x * y * u + (-y * y + 1.0 - zc) * v,
+            x * (1.0 - zc) * u + y * (1.0 - zc) * v,
         ]
     )
+    return theta, phi, np.column_stack([x, y, zc]), tangents
+
+
+def _samples(theta, phi, points, tangents) -> list[SphereSample]:
+    return [
+        SphereSample(t, p, tuple(pt), tuple(tg))
+        for t, p, pt, tg in zip(theta.tolist(), phi.tolist(), points.tolist(), tangents.tolist())
+    ]
 
 
 def sphere_tangent(field, theta: float, phi: float) -> SphereSample:
     """Pull the planar velocity back to the sphere at colatitude theta."""
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    p = _sphere_point(theta, phi)
-    denom = 1.0 - p[2]
-    z = complex(p[0] / denom, p[1] / denom)
-    _, (u, v) = eval_field(field, z)
-    tangent = _pullback_matrix(p) @ np.array([u, v])
-    return SphereSample(theta, phi, p, tuple(float(t) for t in tangent))
+    return _samples(*_pullback(field, np.array([float(theta)]), np.array([float(phi)])))[0]
 
 
 def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
@@ -264,18 +260,9 @@ def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
     n_theta, n_phi = int(resolution[0]), int(resolution[1])
     if n_theta < 1 or n_phi < 1:
         raise ValueError("resolution must be at least 1 in each direction")
-    poles = _pole_locations(field)
-    out = []
-    for i in range(1, n_theta + 1):
-        theta = math.pi * i / n_theta
-        for k in range(n_phi):
-            phi = 2.0 * math.pi * k / n_phi
-            p = _sphere_point(theta, phi)
-            z = complex(p[0] / (1.0 - p[2]), p[1] / (1.0 - p[2]))
-            if poles and min(abs(z - q) for q in poles) < POLE_KEEPOUT:
-                continue
-            out.append(sphere_tangent(field, theta, phi))
-    return out
+    theta = np.repeat(math.pi * np.arange(1, n_theta + 1) / n_theta, n_phi)
+    phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta)
+    return _samples(*_pullback(field, theta, phi, skip_poles=True))
 
 
 @dataclass(frozen=True)
@@ -294,16 +281,9 @@ def north_pole_classify(field) -> NorthPoleReport:
     infinity, so D < 2 vanishes, D = 2 stays bounded but direction-dependent,
     and D > 2 diverges.  A small-theta power-law fit is reported alongside.
     """
-    if isinstance(field, LaurentField):
-        if field.is_zero():
-            raise ValueError("the zero field has no degree")
-        degree = max(field.terms)
-    elif isinstance(field, RationalField):
-        if field.is_zero():
-            raise ValueError("the zero field has no degree")
-        degree = field.numerator.degree - sum(m for _, m in field.denominator_spec)
-    else:
-        raise TypeError(f"unsupported field type {type(field)!r}")
+    if field.is_zero():
+        raise ValueError("the zero field has no degree")
+    degree = field.numerator.degree - sum(m for _, m in field.denominator_spec)
     if degree < 2:
         category = "vanishes"
     elif degree == 2:
@@ -311,9 +291,7 @@ def north_pole_classify(field) -> NorthPoleReport:
     else:
         category = "diverges"
     thetas = np.logspace(-3, -1, 25)
-    mags = []
-    for theta in thetas:
-        s = sphere_tangent(field, float(theta), 0.7)
-        mags.append(max(math.hypot(*s.tangent), 1e-300))
+    tangents = _pullback(field, thetas, np.full(thetas.size, 0.7))[3]
+    mags = np.maximum(np.hypot(np.hypot(tangents[:, 0], tangents[:, 1]), tangents[:, 2]), 1e-300)
     slope = float(np.polyfit(np.log(thetas), np.log(mags), 1)[0])
     return NorthPoleReport(degree, category, slope)

@@ -7,6 +7,7 @@ and ``amplitudes.reshape((2,)*n)`` puts qubit j on axis j-1.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -18,7 +19,7 @@ UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QubitState:
-    """State vector on n qubits.  Unnormalized vectors are allowed."""
+    """State vector on n qubits.  Unnormalized vectors are allowed, non-finite ones are not."""
 
     n: int
     amplitudes: np.ndarray
@@ -29,6 +30,8 @@ class QubitState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
         if amps.size != 2**self.n:
             raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError(f"non-finite amplitude {amps[~np.isfinite(amps)][0]}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -55,8 +58,19 @@ class QubitState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QubitState":
-        amps = [complex(re, im) for re, im in data["amplitudes"]]
+        amps = [complex_from_pair(a) for a in data["amplitudes"]]
         return cls(int(data["n"]), np.array(amps))
+
+
+def complex_from_pair(pair) -> complex:
+    """A finite complex number from a JSON ``[re, im]`` pair of numbers."""
+    re, im = pair
+    if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
+        raise ValueError(f"expected a pair of numbers, got {pair!r}")
+    value = complex(re, im)
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite value {value}")
+    return value
 
 
 def index_of_bits(bits: str, n: int) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qubitflow import QubitState, defects, make_basis_state, qft, roots
-from qubitflow.cli import main
+from qubitflow.cli import build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -215,3 +215,57 @@ def test_analyze_large_root_and_root_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(defects, "roots", lambda p: roots(p, max_iter=1))
     assert main(["analyze", "--in", str(field), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+NON_FINITE_FIELDS = {
+    "laurent-nan": ('{"type": "laurent", "terms": [[1, [NaN, 0]]]}', "non-finite"),
+    "numerator-nan": (
+        '{"type": "rational", "numerator": [[NaN, 0], [1, 0]], "defects": [[0, 0]], "d": 1}',
+        "non-finite",
+    ),
+    "string-nan": ('{"type": "laurent", "terms": [[1, ["nan", 0]]]}', "'nan'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_FIELDS))
+def test_analyze_rejects_non_finite_fields(tmp_path, capsys, name):
+    text, message = NON_FINITE_FIELDS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(text)
+    assert main(["analyze", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_map_rejects_non_finite_amplitudes(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 2, "amplitudes": [[1, 0], [NaN, 0], [0, 0], [0, 0]]}')
+    assert main(["map", "--in", str(path), "--rep", "position"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_sphere_overflow_is_a_numerical_failure(tmp_path, capsys):
+    for n, code in ((4, 0), (5, 3)):
+        state_path = tmp_path / f"uniform{n}.json"
+        field_path = tmp_path / f"charge{n}.json"
+        state_path.write_text(json.dumps(QubitState(n, np.full(2**n, 2 ** (-n / 2))).to_dict()))
+        assert main(["map", "--in", str(state_path), "--rep", "charge", "--d", "3", "--out", str(field_path)]) == 0
+        out = tmp_path / f"sphere{n}.json"
+        assert main(["sphere", "--in", str(field_path), "--res", "4,8", "--out", str(out)]) == code
+    assert json.loads((tmp_path / "sphere4.json").read_text())["north_pole"]["degree"] == 40
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_without_leaking_defaults(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    charge, default = tmp_path / "charge.json", tmp_path / "default.json"
+    assert main(["gram", "--n", "2", "--rep", "charge", "--out", str(charge)]) == 0
+    assert main(["gram", "--n", "2", "--out", str(default)]) == 0
+    # position n=2 probes at 0.7i, charge n=2 at 1.7
+    assert json.loads(default.read_text())["alpha"] == pytest.approx([0.0, 0.7], abs=1e-12)
+    assert json.loads(charge.read_text())["alpha"] == pytest.approx([1.7, 0.0], abs=1e-12)
+    assert main(["checkli", "--n", "2", "--rep", "charge", "--d", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 3
+    assert main(["checkli", "--n", "2", "--rep", "charge"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"independent": True, "rank": 4, "count": 4}

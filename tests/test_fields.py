@@ -289,3 +289,20 @@ def test_config_validation():
         position_map(make_basis_state(2, "00"), make_charge_config(2))
     with pytest.raises(ValueError):
         position_map(make_basis_state(3, "000"), make_position_config(2))
+
+
+def test_non_finite_field_input_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        LaurentField({1: complex(np.nan, 0.0)})
+    with pytest.raises(ValueError, match="non-finite"):
+        field_from_dict({"type": "laurent", "terms": [[1, [np.nan, 0.0]]]})
+    with pytest.raises(ValueError, match="non-finite"):
+        field_from_dict(
+            {"type": "rational", "numerator": [[np.nan, 0.0], [1.0, 0.0]], "defects": [[0, 0]], "d": 1}
+        )
+    with pytest.raises(ValueError, match="non-finite"):
+        field_from_dict(
+            {"type": "rational", "numerator": [[1.0, 0.0]], "defects": [[np.inf, 0]], "d": 1}
+        )
+    with pytest.raises(ValueError, match="'nan'"):
+        field_from_dict({"type": "laurent", "terms": [[1, ["nan", 0]]]})

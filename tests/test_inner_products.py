@@ -143,3 +143,18 @@ def test_circle_rejects_rational_fields():
     f = position_map(make_named_state("bell00+", 2), cfg)
     with pytest.raises(ValueError):
         circle_inner_product(f, f)
+
+
+def test_gram_probe_points_pinned():
+    # Charge bases tie exactly on every angle of a circle; the first candidate
+    # within the tie tolerance of the best condition number wins.
+    expected = {
+        ("position", 1): 0.7,
+        ("position", 2): 0.7j,
+        ("position", 3): -0.7j,
+        ("charge", 1): 0.7,
+        ("charge", 2): 1.7,
+    }
+    for (kind, n), alpha in expected.items():
+        cfg = make_position_config(n) if kind == "position" else make_charge_config(n)
+        assert abs(build_gram(cfg).alpha - alpha) < 1e-12, (kind, n)

@@ -265,3 +265,9 @@ def test_wronskian_order_override():
     got = wronskian_matrix(flds, 0.5, order=2)
     assert got.shape == (2, 3)
     assert np.allclose(got[0], [1.0, 0.5, 0.25])
+
+
+def test_non_finite_coefficients_rejected():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            Polynomial([1.0, bad])

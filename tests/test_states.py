@@ -226,3 +226,13 @@ def test_shor_validation():
         shor_period_find([1, 2, 1])  # wrong length
     with pytest.raises(ValueError):
         shor_period_find([1, 1, 2, 1])  # not periodic for any divisor
+
+
+def test_non_finite_amplitudes_rejected():
+    amps = np.array([1.0, np.nan, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        QubitState(2, amps)
+    with pytest.raises(ValueError, match="non-finite"):
+        QubitState.from_dict({"n": 1, "amplitudes": [[1.0, 0.0], [np.inf, 0.0]]})
+    with pytest.raises(ValueError, match="'nan'"):
+        QubitState.from_dict({"n": 1, "amplitudes": [[1.0, 0.0], ["nan", 0.0]]})

@@ -60,6 +60,25 @@ def _config_from_field(field) -> fields_mod.RepresentationConfig:
     return fields_mod.RepresentationConfig("position", len(centers), ds.pop(), centers)
 
 
+def _grid_from_args(args) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    bbox = tuple(float(t) for t in args.bbox.split(","))
+    if len(bbox) != 4:
+        raise ValueError("--bbox needs xmin,xmax,ymin,ymax")
+    res = tuple(int(t) for t in args.res.split(","))
+    if len(res) != 2:
+        raise ValueError("--res needs nx,ny")
+    return bbox, res
+
+
+def _svg_frame(field, grid) -> str:
+    """SVG of a sampled field with its defects, and its halos for a position field."""
+    dset = defects_mod.extract_defects(field)
+    report = None
+    if isinstance(field, fields_mod.RationalField):
+        report = defects_mod.detect_halos(dset, _config_from_field(field))
+    return rendering.render_svg(grid, dset, report)
+
+
 def cmd_state(args) -> int:
     if args.basis is not None:
         n = args.n if args.n is not None else len(args.basis)
@@ -133,6 +152,7 @@ def cmd_circuit(args) -> int:
     if args.render is not None and cfg is None:
         raise ValueError("--render needs --rep")
     if args.render is not None:
+        bbox, res = _grid_from_args(args)
         os.makedirs(args.render, exist_ok=True)
 
     steps = []
@@ -142,16 +162,9 @@ def cmd_circuit(args) -> int:
             field = fields_mod.map_state(step_state, cfg)
             entry["field"] = field.to_dict()
             if args.render is not None:
-                bbox = tuple(float(t) for t in args.bbox.split(","))
-                res = tuple(int(t) for t in args.res.split(","))
                 grid = rendering.sample_grid(field, bbox, res, args.clip)
-                dset = defects_mod.extract_defects(field)
-                report = None
-                if isinstance(field, fields_mod.RationalField):
-                    report = defects_mod.detect_halos(dset, cfg)
-                path = os.path.join(args.render, f"step_{k:02d}.svg")
-                _write_text(path, rendering.render_svg(grid, dset, report))
-                entry["svg"] = path
+                entry["svg"] = os.path.join(args.render, f"step_{k:02d}.svg")
+                _write_text(entry["svg"], _svg_frame(field, grid))
         steps.append(entry)
     _emit_json(args.out, {"n": n, "steps": steps, "final": st.to_dict()})
     return 0
@@ -159,21 +172,11 @@ def cmd_circuit(args) -> int:
 
 def cmd_render(args) -> int:
     field = fields_mod.field_from_dict(json.loads(_read_text(args.infile)))
-    bbox = tuple(float(t) for t in args.bbox.split(","))
-    if len(bbox) != 4:
-        raise ValueError("--bbox needs xmin,xmax,ymin,ymax")
-    res = tuple(int(t) for t in args.res.split(","))
-    if len(res) != 2:
-        raise ValueError("--res needs nx,ny")
-    grid = rendering.sample_grid(field, bbox, res, args.clip)
+    grid = rendering.sample_grid(field, *_grid_from_args(args), args.clip)
     if args.csv:
         _write_text(args.csv, rendering.grid_to_csv(grid))
     if args.svg:
-        dset = defects_mod.extract_defects(field)
-        report = None
-        if isinstance(field, fields_mod.RationalField):
-            report = defects_mod.detect_halos(dset, _config_from_field(field))
-        _write_text(args.svg, rendering.render_svg(grid, dset, report))
+        _write_text(args.svg, _svg_frame(field, grid))
     if not args.csv and not args.svg:
         _write_text(None, rendering.grid_to_csv(grid))
     return 0

@@ -6,23 +6,28 @@ numerator zeros attached to qubit j form a regular 2d-gon centered on a_j
 multiplicity 2d when the qubit is |1> (collapsed), or are missing entirely
 when the qubit is |0> (halo at infinity).  Entangled states break at least
 one of these patterns.
+
+Separability has one definition, in state terms: psi is separable when some
+product state w has ||psi - lam w|| <= tau ||psi||, tau = ``FACTOR_SV_RTOL``.
+The SVD oracle takes w from rank-1 factors of psi; the halo check reads w off
+the halos and tests it on the state recovered from the numerator.  The halo
+tolerances only propose which zeros form a halo or sit on a center.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RationalField, RepresentationConfig, eval_many, position_map
+from .fields import RationalField, RepresentationConfig, _numerator_rows, position_map
+from .fields import position_basis_fields
 from .polynomials import Polynomial, _horner_with_bound, roots
-from .states import QubitState, factor_out_qubit
+from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
 CENTER_MATCH_RTOL = 1e-9
-POLYGON_RADIUS_RTOL = 1e-6
-POLYGON_ANGLE_TOL = 1e-6
 GROUP_RTOL = 1e-4
-WITNESS_RTOL = 1e-8
 DEFLATION_GUARD = 64.0
 
 
@@ -139,26 +144,13 @@ class HaloReport:
         }
 
 
-def _polygon_check(center: complex, locs: list[complex], d: int) -> tuple[bool, float, float]:
-    """Is ``locs`` a regular 2d-gon around ``center``?  Returns (ok, radius, phase)."""
-    w = np.array(locs, dtype=complex) - center
-    radii = np.abs(w)
-    rbar = float(np.mean(radii))
-    if rbar == 0 or np.max(np.abs(radii - rbar)) > POLYGON_RADIUS_RTOL * rbar:
-        return False, 0.0, 0.0
-    angles = np.sort(np.angle(w) % (2.0 * np.pi))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    if np.max(np.abs(gaps - np.pi / d)) > POLYGON_ANGLE_TOL:
-        return False, 0.0, 0.0
-    return True, rbar, float(angles[0])
-
-
 def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
     """Try to claim one regular 2d-gon of zeros around ``center``.
 
     Every candidate zero seeds a trial: its value of (z - center)**(2d) fixes
-    an ideal polygon, each ideal vertex is matched to the nearest unclaimed
-    zero, and the matched set must pass the radius and angle tolerances.
+    an ideal polygon, and each ideal vertex is matched to the nearest
+    unclaimed zero within ``GROUP_RTOL``.  The first complete match is the
+    halo; whether it certifies a product is left to the state residual.
     Ideal-vertex matching keeps coincident vertices of different halos and
     multiple zeros on one spot from confusing the search.
 
@@ -174,11 +166,9 @@ def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
         tol = GROUP_RTOL * (1.0 + radius)
         taken: dict[int, int] = {}
         chosen: list[int] = []
-        complete = True
         for k in range(2 * d):
             ideal = center + radius * np.exp(1j * (base + k * np.pi / d))
-            pick = None
-            dist = tol
+            pick, dist = None, tol
             for i in cand:
                 if sites[i][1] - taken.get(i, 0) < 1:
                     continue
@@ -186,17 +176,15 @@ def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
                 if gap <= dist:
                     pick, dist = i, gap
             if pick is None:
-                complete = False
                 break
             taken[pick] = taken.get(pick, 0) + 1
             chosen.append(pick)
-        if not complete:
-            continue
-        locs = [sites[i][0] for i in chosen]
-        ok, rbar, phase = _polygon_check(center, locs, d)
-        if ok:
+        else:
+            locs = [sites[i][0] for i in chosen]
+            w = np.array(locs, dtype=complex) - center
             vbar = complex(np.mean([(z - center) ** (2 * d) for z in locs]))
-            return chosen, vbar, rbar, phase
+            phase = float(np.min(np.angle(w) % (2.0 * np.pi)))
+            return chosen, vbar, float(np.mean(np.abs(w))), phase
     return None
 
 
@@ -245,17 +233,8 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
             chosen, vbar, radius, phase = found
             for i in chosen:
                 sites[i][1] -= 1
-            halos.append(
-                Halo(
-                    a,
-                    "regular",
-                    tuple(sites[i][0] for i in chosen),
-                    -vbar,
-                    1 + 0j,
-                    radius,
-                    phase,
-                )
-            )
+            verts = tuple(sites[i][0] for i in chosen)
+            halos.append(Halo(a, "regular", verts, -vbar, 1 + 0j, radius, phase))
         elif sites[j][1] == 0:
             halos.append(Halo(a, "at-infinity", (), 1 + 0j, 0j, None, None))
         else:
@@ -264,54 +243,73 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     return HaloReport(tuple(halos), leftover)
 
 
-def _witness_state(witness, n: int) -> QubitState:
-    amps = np.array([1.0 + 0.0j])
-    for alpha, beta in witness:
-        amps = np.kron(amps, np.array([alpha, beta], dtype=complex))
-    return QubitState(n, amps)
+def _kron(factors) -> np.ndarray:
+    return functools.reduce(lambda a, q: np.outer(a, q).ravel(), factors, np.ones(1, complex))
 
 
-def _witness_matches(field: RationalField, witness, cfg: RepresentationConfig) -> bool:
-    """Compare the witness product field with the original at circle samples."""
-    wf = position_map(_witness_state(witness, cfg.n), cfg)
-    radius = 2.0 * (1.0 + max(abs(a) for a in cfg.defects))
-    for h_alpha, h_beta in witness:
-        if h_beta != 0:
-            radius = max(radius, 2.0 * abs(h_alpha / h_beta) ** (1.0 / (2 * cfg.d)))
-    pts = radius * np.exp(1j * (2.0 * np.pi * np.arange(20) / 20.0 + 0.377))
-    f_vals = eval_many(field, pts)
-    w_vals = eval_many(wf, pts)
-    denom = np.vdot(w_vals, w_vals)
-    if denom == 0:
-        return False
-    lam = np.vdot(w_vals, f_vals) / denom
-    err = float(np.max(np.abs(f_vals - lam * w_vals)))
-    scale = float(np.max(np.abs(f_vals)))
-    return scale > 0 and err <= WITNESS_RTOL * scale
+def _is_product(psi: np.ndarray, factors) -> bool:
+    """The separability rule: min over lam of ||psi - lam w|| <= tau ||psi||, w = kron(factors)."""
+    w = _kron(factors)
+    resid = np.linalg.norm(psi - np.vdot(w, psi) / np.vdot(w, w) * w)
+    return bool(resid <= FACTOR_SV_RTOL * np.linalg.norm(psi))
+
+
+@functools.lru_cache(maxsize=16)
+def _basis(cfg: RepresentationConfig) -> tuple[RationalField, ...]:
+    return tuple(position_basis_fields(cfg))
+
+
+def _als_sweep(psi: np.ndarray, factors) -> list[np.ndarray]:
+    """One alternating-least-squares sweep of the rank-1 fit of psi, factor by factor."""
+    t = psi.reshape((2,) * len(factors))
+    factors = list(factors)
+    for j in range(len(factors)):
+        others = _kron(factors[:j] + factors[j + 1 :])
+        factors[j] = np.moveaxis(t, j, 0).reshape(2, -1) @ others.conj()
+    return factors
+
+
+def _halo_scaled(q: np.ndarray, halo_beta: complex) -> tuple[complex, complex]:
+    """Scale as the halos do: beta (alpha if the halo's is 0) real positive, larger modulus 1."""
+    k = int(halo_beta != 0)
+    q = q * (abs(q[k]) / q[k])
+    q[k] = abs(q[k])
+    q = q / np.max(np.abs(q))
+    return complex(q[0]), complex(q[1])
 
 
 def field_separability(
     field: RationalField, cfg: RepresentationConfig, report: HaloReport | None = None
 ) -> tuple[bool, tuple[tuple[complex, complex], ...]]:
-    """Halo-based separability of a position field, with witness validation.
+    """Halo-based separability of a position field, certified in state space.
 
-    The witness lists one (alpha, beta) pair per qubit, scaled so the larger
-    component has modulus 1; its product field must match the input up to one
-    overall factor at sample points, otherwise the state is declared
-    entangled.  Empty witness means entangled.
+    Certificate: one (alpha, beta) pair per qubit, read from the halos and
+    refined by one alternating-least-squares sweep, whose product w passes
+    ||psi - lam w|| <= tau ||psi||.  Pairs are scaled as the halos are: beta
+    real positive (alpha if the halo's beta is 0), larger modulus 1.
+    Recovery: psi = lam w + lstsq(M, N - lam M w), with M the basis
+    numerators as columns, N the field's numerator and lam the fit of M w to
+    N; on a dependent basis this picks the state with this field nearest w.
+    Miss: an empty witness (entangled) when a zero is left out of the halos,
+    when N lies farther than tau ||N|| from the span of M, or when w fails.
     """
     if report is None:
         report = detect_halos(extract_defects(field), cfg)
     if not report.all_accounted():
         return False, ()
-    witness = []
-    for h in report.halos:
-        s = max(abs(h.alpha), abs(h.beta))
-        witness.append((h.alpha / s, h.beta / s))
-    witness = tuple(witness)
-    if not _witness_matches(field, witness, cfg):
+    rows = _numerator_rows([field, *_basis(cfg)])
+    numer, basis = rows[0], rows[1:].T
+    start = [np.array([h.alpha, h.beta]) for h in report.halos]
+    w = _kron(start)
+    mw = basis @ w
+    lam = np.vdot(mw, numer) / np.vdot(mw, mw)
+    psi = lam * w + np.linalg.lstsq(basis, numer - lam * mw, rcond=None)[0]
+    if np.linalg.norm(numer - basis @ psi) > FACTOR_SV_RTOL * np.linalg.norm(numer):
         return False, ()
-    return True, witness
+    factors = _als_sweep(psi, start)
+    if not _is_product(psi, factors):
+        return False, ()
+    return True, tuple(_halo_scaled(q, h.beta) for q, h in zip(factors, report.halos))
 
 
 def is_separable_geometric(
@@ -324,27 +322,25 @@ def is_separable_geometric(
 
 
 def is_separable_tensor(state: QubitState) -> bool:
-    """Rank-based oracle: peel one qubit at a time with an SVD split."""
+    """SVD oracle: peel rank-1 factors one qubit at a time, then apply the one rule."""
     if state.norm() == 0:
         raise ValueError("the zero vector has no separability")
-    cur = state
-    while cur.n > 1:
-        try:
-            cur, _ = factor_out_qubit(cur, 1)
-        except ValueError:
-            return False
-    return True
+    factors, rest = [], state.amplitudes
+    for _ in range(state.n - 1):
+        u, s, vh = np.linalg.svd(rest.reshape(2, -1), full_matrices=False)
+        factors.append(u[:, 0])
+        rest = s[0] * vh[0]
+    return _is_product(state.amplitudes, factors + [rest])
 
 
 def factorizable_qubits(state: QubitState) -> tuple[int, ...]:
     """1-based positions that split off as unentangled tensor factors."""
     if state.norm() == 0:
         raise ValueError("the zero vector has no separability")
+    if state.n == 1:
+        return (1,)
     out = []
     for j in range(1, state.n + 1):
-        if state.n == 1:
-            out.append(j)
-            continue
         try:
             factor_out_qubit(state, j)
             out.append(j)

@@ -299,8 +299,8 @@ def eval_field(fld, z: complex) -> tuple[complex, tuple[float, float]]:
     return val, (val.real, -val.imag)
 
 
-def _common_numerators(fields) -> list[np.ndarray]:
-    """Rewrite fields over one shared denominator; return numerator rows."""
+def _numerator_rows(fields) -> np.ndarray:
+    """Numerators of ``fields`` over one shared denominator, as zero-padded coefficient rows."""
     specs = []
     for f in fields:
         agg: dict[complex, int] = {}
@@ -321,7 +321,10 @@ def _common_numerators(fields) -> list[np.ndarray]:
             elif k:
                 numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
         rows.append(numer)
-    return rows
+    mat = np.zeros((len(rows), max(r.size for r in rows)), dtype=complex)
+    for i, r in enumerate(rows):
+        mat[i, : r.size] = r
+    return mat
 
 
 def check_linear_independence(fields) -> tuple[bool, int]:
@@ -333,12 +336,7 @@ def check_linear_independence(fields) -> tuple[bool, int]:
     """
     if not fields:
         raise ValueError("need at least one field")
-    rows = _common_numerators(fields)
-    width = max(r.size for r in rows)
-    mat = np.zeros((len(rows), width), dtype=complex)
-    for i, r in enumerate(rows):
-        mat[i, : r.size] = r
-    s = np.linalg.svd(mat, compute_uv=False)
+    s = np.linalg.svd(_numerator_rows(fields), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return False, 0
     rank = int(np.sum(s > RANK_RTOL * s[0]))

@@ -269,3 +269,41 @@ def test_parser_is_built_once_without_leaking_defaults(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rank"] == 3
     assert main(["checkli", "--n", "2", "--rep", "charge"]) == 0
     assert json.loads(capsys.readouterr().out) == {"independent": True, "rank": 4, "count": 4}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--res", "32", "--res needs nx,ny"),
+    ("--bbox", "-1,1,-1", "--bbox needs xmin,xmax,ymin,ymax"),
+])
+@pytest.mark.parametrize("command", ["render", "circuit"])
+def test_grid_arguments_are_validated(tmp_path, capsys, command, flag, value, message):
+    state_path = tmp_path / "state.json"
+    field_path = tmp_path / "field.json"
+    circuit = tmp_path / "qft.json"
+    assert main(["state", "--basis", "01", "--out", str(state_path)]) == 0
+    assert main(["map", "--in", str(state_path), "--out", str(field_path)]) == 0
+    circuit.write_text(json.dumps({"n": 2, "ops": [{"gate": "QFT"}]}))
+    capsys.readouterr()
+    if command == "render":
+        argv = ["render", "--in", str(field_path), "--svg", str(tmp_path / "f.svg")]
+    else:
+        argv = ["circuit", "--in", str(circuit), "--rep", "position", "--render", str(tmp_path / "frames")]
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rep", ["position", "charge"])
+def test_circuit_frame_equals_render_svg(tmp_path, rep):
+    circuit = tmp_path / "qft.json"
+    circuit.write_text(json.dumps({"n": 3, "init": "010", "ops": [{"gate": "QFT"}, {"gate": "H", "targets": [2]}]}))
+    grid = ["--bbox=-2,2,-1.5,2.5", "--res", "12,9", "--clip", "4"]
+    out = tmp_path / "steps.json"
+    assert main(["circuit", "--in", str(circuit), "--rep", rep, "--render", str(tmp_path / "frames"),
+                 "--out", str(out), *grid]) == 0
+    steps = json.loads(out.read_text())["steps"]
+    for k, step in enumerate(steps):
+        field_path = tmp_path / f"field_{k}.json"
+        field_path.write_text(json.dumps(step["field"]))
+        svg = tmp_path / f"render_{k}.svg"
+        assert main(["render", "--in", str(field_path), "--svg", str(svg), *grid]) == 0
+        assert svg.read_bytes() == (tmp_path / "frames" / f"step_{k:02d}.svg").read_bytes()

@@ -1,0 +1,118 @@
+"""One separability rule: the halo check and the SVD oracle under one tolerance.
+
+A state psi is separable when some product state w has
+||psi - lam w|| <= tau ||psi|| with tau = FACTOR_SV_RTOL.  These seeded
+property tests draw near-product states psi = p + eps * g with
+eps = 10**U(-12, -4), so that draws fall on both sides of tau.
+"""
+
+import numpy as np
+import pytest
+
+from qubitflow import (
+    Polynomial,
+    QubitState,
+    RationalField,
+    field_separability,
+    is_separable_geometric,
+    is_separable_tensor,
+    make_position_config,
+    position_map,
+    tensor,
+)
+from qubitflow.states import FACTOR_SV_RTOL as TAU
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QubitState(n, amps).normalized()
+
+
+def random_product(rng, n):
+    st = random_state(rng, 1)
+    for _ in range(n - 1):
+        st = tensor(st, random_state(rng, 1))
+    return st
+
+
+def near_product(rng, n):
+    eps = 10.0 ** rng.uniform(-12.0, -4.0)
+    amps = random_product(rng, n).amplitudes + eps * random_state(rng, n).amplitudes
+    return QubitState(n, amps).normalized()
+
+
+def largest_schmidt_ratio(st):
+    tensor_amps = st.amplitudes.reshape((2,) * st.n)
+    ratios = []
+    for axis in range(st.n):
+        s = np.linalg.svd(np.moveaxis(tensor_amps, axis, 0).reshape(2, -1), compute_uv=False)
+        ratios.append(s[1] / s[0])
+    return max(ratios)
+
+
+def witness_residual(st, witness):
+    w = np.ones(1, dtype=complex)
+    for alpha, beta in witness:
+        w = np.kron(w, [alpha, beta])
+    psi = st.amplitudes
+    lam = np.vdot(w, psi) / np.vdot(w, w)
+    return np.linalg.norm(psi - lam * w) / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_near_products_get_one_verdict(n):
+    rng = np.random.default_rng(100 + n)
+    cfg = make_position_config(n)
+    outside_band = 0
+    for _ in range(16):
+        st = near_product(rng, n)
+        geo, witness = is_separable_geometric(st, cfg)
+        assert geo == is_separable_tensor(st)
+        ratio = largest_schmidt_ratio(st)
+        if not TAU / n < ratio <= TAU:
+            outside_band += 1
+            assert geo == (ratio <= TAU)
+        if geo:
+            assert len(witness) == n
+            assert witness_residual(st, witness) <= TAU
+        else:
+            assert witness == ()
+    assert outside_band >= 12
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (4, 2)])
+def test_dependent_bases_keep_products_separable(n, d):
+    # these bases are dependent (rank 6 of 8 and 14 of 16), so a field does
+    # not fix its state; the recovery must pick the state nearest the halos
+    rng = np.random.default_rng(10 * n + d)
+    cfg = make_position_config(n, d)
+    for _ in range(6):
+        assert is_separable_geometric(random_product(rng, n), cfg)[0]
+        assert not is_separable_geometric(random_state(rng, n), cfg)[0]
+
+
+def test_numerator_outside_the_basis_span_is_not_separable():
+    cfg = make_position_config(2)
+    spec = ((-1 + 0j, 1), (1 + 0j, 1))
+    cube = Polynomial([0, 0, 0, 1])
+    assert field_separability(RationalField(cube, spec), cfg) == (False, ())
+    # z**3 is orthogonal to every basis numerator; a small multiple of it
+    # leaves the halos of a product in place but the field belongs to no state
+    plus = QubitState(1, np.array([1.0, 1.0]) / np.sqrt(2))
+    product = position_map(tensor(plus, plus), cfg).numerator
+    assert field_separability(RationalField(product, spec), cfg)[0]
+    assert field_separability(RationalField(product + cube.scale(1e-6), spec), cfg) == (False, ())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Polynomial trims leading coefficients below 1e-14 of the largest, "
+    "deleting two real zeros of this skewed product's numerator",
+)
+def test_skewed_product_keeps_its_zeros():
+    q = QubitState(1, np.array([1.0, 1e-5]))
+    st = tensor(tensor(q, q), q)
+    cfg = make_position_config(3)
+    assert is_separable_tensor(st)
+    assert position_map(st, cfg).numerator.degree == 18
+    assert is_separable_geometric(st, cfg)[0]

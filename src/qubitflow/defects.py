@@ -69,6 +69,11 @@ def _deflate_center(coeffs: np.ndarray, center: complex) -> tuple[np.ndarray, in
     return coeffs, count
 
 
+def _center_of(loc: complex, centers) -> complex | None:
+    """The first center within CENTER_MATCH_RTOL of ``loc``, or None."""
+    return next((a for a in centers if abs(loc - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a))), None)
+
+
 def extract_defects(field) -> DefectSet:
     """Locate all zeros and poles of a field.  The zero field is rejected.
 
@@ -87,7 +92,7 @@ def extract_defects(field) -> DefectSet:
     rest = Polynomial(coeffs)
     off_center: list[tuple[complex, int]] = []
     for r, m in roots(rest).roots if rest.degree >= 1 else ():
-        near = next((a for a in agg if abs(r - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a))), None)
+        near = _center_of(r, agg)
         if near is None:
             off_center.append((r, m))
         else:
@@ -201,25 +206,19 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     d = cfg.d
     centers = list(cfg.defects)
 
-    def center_of(loc: complex):
-        for a in centers:
-            if abs(loc - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a)):
-                return a
-        return None
-
     remaining: dict[complex, int] = {a: d for a in centers}
     for p, m in defect_set.poles:
-        a = center_of(p)
+        a = _center_of(p, centers)
         if a is None:
             raise ValueError(f"pole at {p} is not a configured defect center")
         remaining[a] -= m
     for z, m in defect_set.zeros:
-        a = center_of(z)
+        a = _center_of(z, centers)
         if a is not None:
             remaining[a] += m
     sites: list[list] = [[a, remaining[a]] for a in centers]
     for z, m in sorted(defect_set.zeros, key=_plane_order):
-        if center_of(z) is None:
+        if _center_of(z, centers) is None:
             sites.append([z, m])
 
     halos = []

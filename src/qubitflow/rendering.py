@@ -58,10 +58,12 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2 in each direction")
+    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax))):
+        raise ValueError(f"bounding box must be finite, got {(xmin, xmax, ymin, ymax)}")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("bounding box is degenerate")
-    if clip <= 0:
-        raise ValueError("clip length must be positive")
+    if not clip > 0:
+        raise ValueError(f"clip length must be positive, got {clip}")
     gx = np.tile(np.linspace(xmin, xmax, nx), ny)
     gy = np.repeat(np.linspace(ymin, ymax, ny), nx)
     z = gx + 1j * gy
@@ -82,13 +84,9 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
 
 def grid_to_csv(grid: FieldGrid) -> str:
     """Columns x,y,u,v,clipped; floats printed with shortest round-trip repr."""
-    lines = ["x,y,u,v,clipped"]
-    for i in range(grid.x.size):
-        lines.append(
-            f"{float(grid.x[i])!r},{float(grid.y[i])!r},"
-            f"{float(grid.u[i])!r},{float(grid.v[i])!r},{int(grid.clipped[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    floats = (map(repr, a.tolist()) for a in (grid.x, grid.y, grid.u, grid.v))
+    flags = map(str, grid.clipped.astype(int).tolist())
+    return "\n".join(["x,y,u,v,clipped", *map(",".join, zip(*floats, flags))]) + "\n"
 
 
 def grid_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -96,21 +94,12 @@ def grid_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "x,y,u,v,clipped":
         raise ValueError("missing grid CSV header")
-    cols = [[], [], [], [], []]
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"bad CSV row: {ln!r}")
-        for c in range(4):
-            cols[c].append(float(parts[c]))
-        cols[4].append(bool(int(parts[4])))
-    return (
-        np.array(cols[0]),
-        np.array(cols[1]),
-        np.array(cols[2]),
-        np.array(cols[3]),
-        np.array(cols[4], dtype=bool),
-    )
+    bad = [ln for ln in lines[1:] if ln.count(",") != 4]
+    if bad:
+        raise ValueError(f"bad CSV row: {bad[0]!r}")
+    cols = list(zip(*(ln.split(",") for ln in lines[1:]))) or [()] * 5
+    x, y, u, v = (np.array([float(t) for t in col]) for col in cols[:4])
+    return x, y, u, v, np.array([bool(int(t)) for t in cols[4]], dtype=bool)
 
 
 def _fmt(x: float) -> str:
@@ -151,23 +140,20 @@ def render_svg(
     top = float(mags.max()) if mags.size else 0.0
     cell = min(span_x / max(grid.nx - 1, 1), span_y / max(grid.ny - 1, 1))
     alen = 0.45 * cell * scale
-    for i in range(grid.x.size):
-        if mags[i] == 0.0:
-            continue
-        dirx, diry = grid.u[i] / mags[i], grid.v[i] / mags[i]
-        length = alen * mags[i] / top
-        x0, y0 = px(grid.x[i]), py(grid.y[i])
-        x1 = x0 + dirx * length
-        y1 = y0 - diry * length
-        ang = math.atan2(y1 - y0, x1 - x0)
-        hx1 = x1 - 0.35 * length * math.cos(ang - 0.5)
-        hy1 = y1 - 0.35 * length * math.sin(ang - 0.5)
-        hx2 = x1 - 0.35 * length * math.cos(ang + 0.5)
-        hy2 = y1 - 0.35 * length * math.sin(ang + 0.5)
-        color = "#b0b0b0" if grid.clipped[i] else "#303030"
+    # one arrow per nonzero sample; each barb turns the screen direction (dx, dy) by -/+ 0.5 rad
+    on = mags != 0.0
+    dx, dy = grid.u[on] / mags[on], -grid.v[on] / mags[on]
+    length = alen * mags[on] / top
+    x0, y0 = px(grid.x[on]), py(grid.y[on])
+    x1, y1 = x0 + dx * length, y0 + dy * length
+    back, c, s = 0.35 * length, math.cos(0.5), math.sin(0.5)
+    ends = (x1 - back * (dx * c + dy * s), y1 - back * (dy * c - dx * s),
+            x1 - back * (dx * c - dy * s), y1 - back * (dy * c + dx * s))
+    colors = ["#b0b0b0" if k else "#303030" for k in grid.clipped[on].tolist()]
+    cols = (map(_fmt, a.tolist()) for a in (x0, y0, x1, y1, *ends))
+    for sx, sy, tx, ty, hx1, hy1, hx2, hy2, color in zip(*cols, colors):
         parts.append(
-            f'<path d="M {_fmt(x0)} {_fmt(y0)} L {_fmt(x1)} {_fmt(y1)} '
-            f'M {_fmt(hx1)} {_fmt(hy1)} L {_fmt(x1)} {_fmt(y1)} L {_fmt(hx2)} {_fmt(hy2)}" '
+            f'<path d="M {sx} {sy} L {tx} {ty} M {hx1} {hy1} L {tx} {ty} L {hx2} {hy2}" '
             f'stroke="{color}" fill="none" stroke-width="1"/>'
         )
     zero_color: dict[complex, str] = {}

@@ -137,6 +137,8 @@ class Gate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape not in ((2, 2), (4, 4)):
             raise ValueError("gate matrix must be 2x2 or 4x4")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"gate {self.label!r} has a non-finite entry")
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
         if dev > UNITARITY_TOL:
             raise ValueError(f"gate {self.label!r} is not unitary (deviation {dev:.2e})")
@@ -166,7 +168,9 @@ GATES: dict[str, Gate] = {
 
 
 def cphase(theta: float) -> Gate:
-    return Gate(f"CP({theta:g})", np.diag([1, 1, 1, np.exp(1j * theta)]))
+    with np.errstate(invalid="ignore"):  # a non-finite theta is rejected by Gate
+        phase = np.exp(1j * theta)
+    return Gate(f"CP({theta:g})", np.diag([1, 1, 1, phase]))
 
 
 def apply_gate(state: QubitState, gate: Gate, targets) -> QubitState:
@@ -189,19 +193,16 @@ def apply_gate(state: QubitState, gate: Gate, targets) -> QubitState:
 
 def qft(state: QubitState, inverse: bool = False) -> QubitState:
     """Quantum Fourier transform of the whole register."""
-    size = 2**state.n
+    return _qft_prefix(state, state.n, inverse)
+
+
+def _qft_prefix(state: QubitState, k: int, inverse: bool = False) -> QubitState:
+    """QFT (or its inverse) restricted to the first k qubits."""
+    size = 2**k
     sign = -1.0 if inverse else 1.0
-    k = np.arange(size)
-    f = np.exp(sign * 2j * np.pi * np.outer(k, k) / size) / np.sqrt(size)
-    return QubitState(state.n, f @ state.amplitudes)
-
-
-def _qft_prefix(state: QubitState, k: int) -> QubitState:
-    """QFT restricted to the first k qubits."""
-    block = state.amplitudes.reshape(2**k, -1)
-    idx = np.arange(2**k)
-    f = np.exp(2j * np.pi * np.outer(idx, idx) / 2**k) / np.sqrt(2**k)
-    return QubitState(state.n, (f @ block).reshape(-1))
+    idx = np.arange(size)
+    f = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / size) / np.sqrt(size)
+    return QubitState(state.n, (f @ state.amplitudes.reshape(size, -1)).reshape(-1))
 
 
 def factor_out_qubit(state: QubitState, target: int) -> tuple[QubitState, QubitState]:

@@ -307,3 +307,34 @@ def test_circuit_frame_equals_render_svg(tmp_path, rep):
         svg = tmp_path / f"render_{k}.svg"
         assert main(["render", "--in", str(field_path), "--svg", str(svg), *grid]) == 0
         assert svg.read_bytes() == (tmp_path / "frames" / f"step_{k:02d}.svg").read_bytes()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--clip=nan", "error: clip length must be positive, got nan"),
+    ("--bbox=-inf,inf,-2,2", "error: bounding box must be finite, got (-inf, inf, -2.0, 2.0)"),
+])
+@pytest.mark.parametrize("command", ["render", "circuit"])
+def test_non_finite_grid_arguments_are_rejected(tmp_path, capsys, command, flag, message):
+    state_path = tmp_path / "state.json"
+    field_path = tmp_path / "field.json"
+    circuit = tmp_path / "qft.json"
+    assert main(["state", "--basis", "01", "--out", str(state_path)]) == 0
+    assert main(["map", "--in", str(state_path), "--out", str(field_path)]) == 0
+    circuit.write_text(json.dumps({"n": 2, "ops": [{"gate": "QFT"}]}))
+    capsys.readouterr()
+    if command == "render":
+        argv = ["render", "--in", str(field_path), "--csv", str(tmp_path / "f.csv")]
+    else:
+        argv = ["circuit", "--in", str(circuit), "--rep", "position", "--render", str(tmp_path / "frames")]
+    assert main(argv + [flag]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+def test_circuit_rejects_non_finite_gate_angle(tmp_path, capsys, theta):
+    circuit = tmp_path / "cp.json"
+    # json.dumps writes NaN/Infinity, which json.loads accepts
+    circuit.write_text(json.dumps({"n": 2, "ops": [{"gate": "CP", "targets": [1, 2], "theta": theta}]}))
+    assert main(["circuit", "--in", str(circuit)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: gate 'CP({theta:g})' has a non-finite entry")

@@ -1,10 +1,13 @@
 """Grid sampling, CSV/SVG artifacts, and the spherical pullback."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qubitflow import (
     FieldGrid,
+    QubitState,
     charge_map,
     detect_halos,
     extract_defects,
@@ -63,6 +66,17 @@ def test_sample_grid_validation():
         sample_grid(f, (-1, 1, -1, 1), (3, 3), clip=0.0)
 
 
+@pytest.mark.parametrize("bbox, clip, message", [
+    ((-1, 1, -1, 1), float("nan"), "clip length must be positive, got nan"),
+    ((-1, 1, -1, 1), -1.0, "clip length must be positive, got -1.0"),
+    ((-np.inf, np.inf, -2, 2), 10.0, "bounding box must be finite"),
+    ((-1, 1, np.nan, 2), 10.0, "bounding box must be finite"),
+])
+def test_sample_grid_rejects_non_finite_arguments(bbox, clip, message):
+    with pytest.raises(ValueError, match=message):
+        sample_grid(LaurentField({1: 1.0}), bbox, (3, 3), clip=clip)
+
+
 def test_bell_grid_has_eight_interior_minima():
     bell = make_named_state("bell00+", 2)
     grid = sample_grid(charge_map(bell), (-2, 2, -2, 2), (64, 64))
@@ -94,11 +108,130 @@ def test_csv_round_trip_is_exact():
     assert np.array_equal(clipped, grid.clipped)
 
 
+def _reference_fmt(x):
+    return f"{x:.4f}".rstrip("0").rstrip(".")
+
+
+def _reference_arrows(grid, width=640):
+    """Arrow paths of render_svg, drawn one sample at a time with an angle round trip."""
+    xmin, xmax, ymin, ymax = grid.bbox
+    span_x, span_y = xmax - xmin, ymax - ymin
+    margin = 0.05 * max(span_x, span_y)
+    scale = (width - 20.0) / (span_x + 2 * margin)
+    height = int(round((span_y + 2 * margin) * scale + 20))
+    mags = np.hypot(grid.u, grid.v)
+    top = float(mags.max()) if mags.size else 0.0
+    cell = min(span_x / max(grid.nx - 1, 1), span_y / max(grid.ny - 1, 1))
+    alen = 0.45 * cell * scale
+    f = _reference_fmt
+    lines = []
+    for i in range(grid.x.size):
+        if mags[i] == 0.0:
+            continue
+        dirx, diry = grid.u[i] / mags[i], grid.v[i] / mags[i]
+        length = alen * mags[i] / top
+        x0 = 10.0 + (grid.x[i] - xmin + margin) * scale
+        y0 = height - 10.0 - (grid.y[i] - ymin + margin) * scale
+        x1 = x0 + dirx * length
+        y1 = y0 - diry * length
+        ang = math.atan2(y1 - y0, x1 - x0)
+        hx1 = x1 - 0.35 * length * math.cos(ang - 0.5)
+        hy1 = y1 - 0.35 * length * math.sin(ang - 0.5)
+        hx2 = x1 - 0.35 * length * math.cos(ang + 0.5)
+        hy2 = y1 - 0.35 * length * math.sin(ang + 0.5)
+        color = "#b0b0b0" if grid.clipped[i] else "#303030"
+        lines.append(
+            f'<path d="M {f(x0)} {f(y0)} L {f(x1)} {f(y1)} '
+            f'M {f(hx1)} {f(hy1)} L {f(x1)} {f(y1)} L {f(hx2)} {f(hy2)}" '
+            f'stroke="{color}" fill="none" stroke-width="1"/>'
+        )
+    return lines
+
+
+def _reference_csv(grid):
+    lines = ["x,y,u,v,clipped"]
+    for i in range(grid.x.size):
+        lines.append(
+            f"{float(grid.x[i])!r},{float(grid.y[i])!r},"
+            f"{float(grid.u[i])!r},{float(grid.v[i])!r},{int(grid.clipped[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_state(seed, n):
+    rng = np.random.default_rng(seed)
+    return QubitState(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n)).normalized()
+
+
+def _position_case(n):
+    cfg = make_position_config(n)
+    f = position_map(_seeded_state(40 + n, n), cfg)
+    dset = extract_defects(f)
+    return sample_grid(f, (-2.5, 2.5, -2.5, 2.5), (24, 20)), dset, detect_halos(dset, cfg)
+
+
+def _charge_case(n):
+    f = charge_map(_seeded_state(50 + n, n))
+    return sample_grid(f, (-2, 2, -1.5, 2.5), (21, 19)), extract_defects(f), None
+
+
+def _clipped_case():
+    # 11 points per axis put a sample on the pole at 0; its neighbours exceed the clip.
+    f = LaurentField({-2: 1.0, 1: 0.5j})
+    grid = sample_grid(f, (-1, 1, -1, 1), (11, 11), clip=3.0)
+    assert grid.clipped.sum() > 1 and np.count_nonzero(np.hypot(grid.u, grid.v) == 0.0) == 1
+    return grid, extract_defects(f), None
+
+
+def _empty_case():
+    arrays = [np.array([])] * 4 + [np.array([], dtype=bool)]
+    f = charge_map(make_basis_state(1, "0"), d=1)
+    return FieldGrid((-1.0, 1.0, -1.0, 1.0), 0, 0, *arrays), extract_defects(f), None
+
+
+WRITER_CASES = {
+    "position-n2-halos": lambda: _position_case(2),
+    "position-n3-halos": lambda: _position_case(3),
+    "charge-n2": lambda: _charge_case(2),
+    "charge-n3": lambda: _charge_case(3),
+    "clipped-and-pole": _clipped_case,
+    "empty": _empty_case,
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writers_match_per_sample_reference(case):
+    grid, dset, report = WRITER_CASES[case]()
+    svg = render_svg(grid, dset, report).splitlines()
+    arrows = _reference_arrows(grid)
+    assert len(arrows) == np.count_nonzero(np.hypot(grid.u, grid.v))
+    # Arrows follow the <svg> and background lines; markers and the scale bar follow them.
+    assert svg[2 : 2 + len(arrows)] == arrows
+    assert not any('fill="none" stroke-width="1"/>' in ln for ln in svg[2 + len(arrows) :])
+    text = grid_to_csv(grid)
+    # line lists, which pytest diffs quickly on failure
+    assert text.split("\n") == _reference_csv(grid).split("\n")
+    back = grid_from_csv(text)
+    for got, want in zip(back, (grid.x, grid.y, grid.u, grid.v, grid.clipped)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_csv_header_required():
     with pytest.raises(ValueError):
         grid_from_csv("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         grid_from_csv("x,y,u,v,clipped\n1,2,3\n")
+
+
+def test_csv_errors_name_the_fault():
+    with pytest.raises(ValueError, match="missing grid CSV header"):
+        grid_from_csv("")
+    with pytest.raises(ValueError, match="bad CSV row: '1,2,3'"):
+        grid_from_csv("x,y,u,v,clipped\n1,2,3,4,0\n1,2,3\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        grid_from_csv("x,y,u,v,clipped\n1,a,3,4,0\n")
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        grid_from_csv("x,y,u,v,clipped\n1,2,3,4,yes\n")
 
 
 def test_svg_deterministic():

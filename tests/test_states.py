@@ -16,7 +16,7 @@ from qubitflow import (
     shor_period_find,
     tensor,
 )
-from qubitflow.states import Gate, bits_of_index, index_of_bits
+from qubitflow.states import Gate, _qft_prefix, bits_of_index, index_of_bits
 
 
 def random_state(rng, n):
@@ -46,6 +46,15 @@ def test_basis_state_validation():
 def test_gate_unitarity_enforced():
     with pytest.raises(ValueError):
         Gate("bad", np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_gate_rejects_non_finite_entries():
+    # NaN passes a "deviation > tol" unitarity test, so it is checked first.
+    with pytest.raises(ValueError, match="gate 'bad' has a non-finite entry"):
+        Gate("bad", [[np.nan, 0], [0, 1]])
+    for theta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"gate 'CP\((nan|inf)\)' has a non-finite entry"):
+            cphase(theta)
 
 
 def test_single_qubit_gate_action():
@@ -114,6 +123,16 @@ def test_qft_inverse_round_trip():
         st = random_state(rng, n)
         back = qft(qft(st), inverse=True)
         assert np.max(np.abs(back.amplitudes - st.amplitudes)) < 1e-12
+
+
+def test_qft_prefix_acts_on_the_leading_qubits():
+    rng = np.random.default_rng(22)
+    for k, rest in ((1, 2), (2, 1), (3, 1)):
+        a, b = random_state(rng, k), random_state(rng, rest)
+        for inverse in (False, True):
+            got = _qft_prefix(tensor(a, b), k, inverse)
+            want = tensor(qft(a, inverse), b)
+            assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
 
 
 def test_tensor_bell_with_zero():

@@ -61,13 +61,14 @@ def _config_from_field(field) -> fields_mod.RepresentationConfig:
 
 
 def _grid_from_args(args) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The --bbox and --res of a grid, checked with --clip the way sample_grid checks them."""
     bbox = tuple(float(t) for t in args.bbox.split(","))
     if len(bbox) != 4:
         raise ValueError("--bbox needs xmin,xmax,ymin,ymax")
     res = tuple(int(t) for t in args.res.split(","))
     if len(res) != 2:
         raise ValueError("--res needs nx,ny")
-    return bbox, res
+    return rendering._grid_spec(bbox, res, args.clip)
 
 
 def _svg_frame(field, grid) -> str:
@@ -131,6 +132,10 @@ def cmd_gram(args) -> int:
 def cmd_circuit(args) -> int:
     spec = json.loads(_read_text(args.infile))
     n = int(spec["n"])
+    if args.render is not None:
+        if args.rep is None:
+            raise ValueError("--render needs --rep")
+        bbox, res = _grid_from_args(args)  # before any gate runs or DIR exists
     st = states.make_basis_state(n, spec.get("init", "0" * n))
     history = [("init", (), st)]
     for op in spec["ops"]:
@@ -149,10 +154,7 @@ def cmd_circuit(args) -> int:
         history.append((name, targets, st))
 
     cfg = _config_from_args(args, n) if args.rep is not None else None
-    if args.render is not None and cfg is None:
-        raise ValueError("--render needs --rep")
     if args.render is not None:
-        bbox, res = _grid_from_args(args)
         os.makedirs(args.render, exist_ok=True)
 
     steps = []

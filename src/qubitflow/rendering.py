@@ -13,6 +13,7 @@ which keeps U tangent to the sphere by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +48,8 @@ class FieldGrid:
     clipped: np.ndarray
 
 
-def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGrid:
-    """Sample the velocity on an inclusive-endpoint grid.
-
-    Points within 1e-9 of a pole get a zero vector and the clipped flag;
-    vectors longer than ``clip`` are rescaled to that length, keeping their
-    direction, and flagged as well.
-    """
+def _grid_spec(bbox, resolution, clip: float):
+    """The checked ((xmin, xmax, ymin, ymax), (nx, ny)) of a grid; ValueError if unusable."""
     xmin, xmax, ymin, ymax = (float(b) for b in bbox)
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
@@ -64,6 +60,17 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
         raise ValueError("bounding box is degenerate")
     if not clip > 0:
         raise ValueError(f"clip length must be positive, got {clip}")
+    return (xmin, xmax, ymin, ymax), (nx, ny)
+
+
+def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGrid:
+    """Sample the velocity on an inclusive-endpoint grid.
+
+    Points within 1e-9 of a pole get a zero vector and the clipped flag;
+    vectors longer than ``clip`` are rescaled to that length, keeping their
+    direction, and flagged as well.
+    """
+    (xmin, xmax, ymin, ymax), (nx, ny) = _grid_spec(bbox, resolution, clip)
     gx = np.tile(np.linspace(xmin, xmax, nx), ny)
     gy = np.repeat(np.linspace(ymin, ymax, ny), nx)
     z = gx + 1j * gy
@@ -82,9 +89,18 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
     return FieldGrid((xmin, xmax, ymin, ymax), nx, ny, gx, gy, gu, gv, gc)
 
 
+def _repr_repeated(a: np.ndarray) -> list[str]:
+    """``repr`` of each entry, computed once per distinct bit pattern (so -0.0 stays apart)."""
+    bits, where = np.unique(np.asarray(a, dtype=float).view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(float).tolist()))
+    return [texts[i] for i in where.tolist()]
+
+
 def grid_to_csv(grid: FieldGrid) -> str:
     """Columns x,y,u,v,clipped; floats printed with shortest round-trip repr."""
-    floats = (map(repr, a.tolist()) for a in (grid.x, grid.y, grid.u, grid.v))
+    # x and y repeat one axis value per row or column, so each distinct value is printed once
+    floats = (_repr_repeated(grid.x), _repr_repeated(grid.y),
+              map(repr, grid.u.tolist()), map(repr, grid.v.tolist()))
     flags = map(str, grid.clipped.astype(int).tolist())
     return "\n".join(["x,y,u,v,clipped", *map(",".join, zip(*floats, flags))]) + "\n"
 
@@ -104,6 +120,38 @@ def grid_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
+
+
+_FMT_INTS = 4096  # integer parts with a table entry, per sign
+
+
+@functools.cache
+def _fmt_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Integer parts ("0".."4095", then "-0".."-4095") and fractions ("", ".0001"..".9999")."""
+    ints = np.arange(_FMT_INTS).astype("U4")
+    fracs = np.array([""] + [f".{k:04d}".rstrip("0") for k in range(1, 10000)], dtype="U5")
+    return np.concatenate([ints, np.char.add("-", ints)]), fracs
+
+
+def _fmt_many(a: np.ndarray) -> list[str]:
+    """``_fmt`` of every entry of a float array, built from table lookups.
+
+    t = |a|·1e4 carries one rounding, at most 2**-28 < 4e-9 for |a| < 4096, so
+    rounding t to the nearest integer rounds the exact decimal the same way
+    unless t lies within 1e-6 of a half.  Those entries (exact binary ties such
+    as 0.03125 among them), entries past the table and non-finite entries are
+    formatted by ``_fmt`` itself.
+    """
+    t = np.abs(a) * 1e4
+    inside = t < _FMT_INTS * 1e4 - 1.0  # False for inf and nan
+    t = np.where(inside, t, 0.0)
+    exact = inside & (np.abs(t - np.floor(t) - 0.5) > 1e-6)
+    ip, fp = np.divmod(np.rint(t).astype(np.int64), 10000)
+    ints, fracs = _fmt_tables()
+    out = np.char.add(ints[ip + _FMT_INTS * np.signbit(a)], fracs[fp]).tolist()
+    for i in np.flatnonzero(~exact).tolist():
+        out[i] = _fmt(float(a[i]))
+    return out
 
 
 def render_svg(
@@ -150,7 +198,7 @@ def render_svg(
     ends = (x1 - back * (dx * c + dy * s), y1 - back * (dy * c - dx * s),
             x1 - back * (dx * c - dy * s), y1 - back * (dy * c + dx * s))
     colors = ["#b0b0b0" if k else "#303030" for k in grid.clipped[on].tolist()]
-    cols = (map(_fmt, a.tolist()) for a in (x0, y0, x1, y1, *ends))
+    cols = (_fmt_many(a) for a in (x0, y0, x1, y1, *ends))
     for sx, sy, tx, ty, hx1, hy1, hx2, hy2, color in zip(*cols, colors):
         parts.append(
             f'<path d="M {sx} {sy} L {tx} {ty} M {hx1} {hy1} L {tx} {ty} L {hx2} {hy2}" '

@@ -330,6 +330,20 @@ def test_non_finite_grid_arguments_are_rejected(tmp_path, capsys, command, flag,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--clip=nan", "error: clip length must be positive, got nan"),
+    ("--bbox=-inf,1,-1,1", "error: bounding box must be finite, got (-inf, 1.0, -1.0, 1.0)"),
+])
+def test_circuit_render_checks_the_grid_before_any_gate_or_directory(tmp_path, capsys, flag, message):
+    circuit = tmp_path / "qft.json"
+    # the unknown gate would fail first if the gates ran before the grid check
+    circuit.write_text(json.dumps({"n": 2, "ops": [{"gate": "QFT"}, {"gate": "NOPE"}]}))
+    frames = tmp_path / "frames"
+    assert main(["circuit", "--in", str(circuit), "--rep", "position", "--render", str(frames), flag]) == 2
+    assert message in capsys.readouterr().err
+    assert not frames.exists()
+
+
 @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
 def test_circuit_rejects_non_finite_gate_angle(tmp_path, capsys, theta):
     circuit = tmp_path / "cp.json"

@@ -25,6 +25,7 @@ from qubitflow import (
     stereographic_project,
 )
 from qubitflow.fields import LaurentField
+from qubitflow.rendering import _fmt, _fmt_many
 
 
 def test_sample_grid_identity_field():
@@ -196,14 +197,19 @@ WRITER_CASES = {
     "charge-n3": lambda: _charge_case(3),
     "clipped-and-pole": _clipped_case,
     "empty": _empty_case,
+    "charge-n3-wide": lambda: _charge_case(3),
 }
+# At 9000 px about half the arrow coordinates pass the formatter's integer table (4096),
+# so render_svg itself formats them through the scalar fallback.
+WRITER_WIDTHS = {"charge-n3-wide": 9000}
 
 
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_writers_match_per_sample_reference(case):
     grid, dset, report = WRITER_CASES[case]()
-    svg = render_svg(grid, dset, report).splitlines()
-    arrows = _reference_arrows(grid)
+    width = WRITER_WIDTHS.get(case, 640)
+    svg = render_svg(grid, dset, report, width=width).splitlines()
+    arrows = _reference_arrows(grid, width)
     assert len(arrows) == np.count_nonzero(np.hypot(grid.u, grid.v))
     # Arrows follow the <svg> and background lines; markers and the scale bar follow them.
     assert svg[2 : 2 + len(arrows)] == arrows
@@ -214,6 +220,42 @@ def test_writers_match_per_sample_reference(case):
     back = grid_from_csv(text)
     for got, want in zip(back, (grid.x, grid.y, grid.u, grid.v, grid.clipped)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_csv_prints_repeated_and_signed_zero_coordinates_exactly():
+    x = np.array([0.0, -0.0, 0.5, 0.0, -0.0, 0.5, 1e-300, -0.0])
+    y = np.array([-0.0, -0.0, -0.0, 0.1, 0.1, 0.1, 0.1, 0.0])
+    u = np.array([-0.0, 0.0, 1.5, -0.0, 2.0, 0.1 + 0.2, -3.0, 0.0])
+    v = np.array([0.0, -0.0, 0.0, 1e-17, -0.0, 7.0, 0.0, -0.0])
+    clipped = np.array([0, 1, 0, 0, 1, 0, 0, 1], dtype=bool)
+    grid = FieldGrid((-1.0, 1.0, -1.0, 1.0), 4, 2, x, y, u, v, clipped)
+    text = grid_to_csv(grid)
+    assert text == _reference_csv(grid)
+    assert text.splitlines()[2] == "-0.0,-0.0,0.0,-0.0,1"
+    back = grid_from_csv(text)
+    for got, want in zip(back, (x, y, u, v, clipped)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_fmt_many_equals_fmt_on_every_entry():
+    rng = np.random.default_rng(7)
+    k = rng.integers(-8_000_000, 8_000_000, 50_000)
+    ties = (k + 0.5) / 1e4  # exact binary ties where k + 0.5 has few significant bits
+    values = np.concatenate([
+        rng.uniform(-800.0, 800.0, 100_000),  # screen coordinates
+        ties,
+        ties + rng.uniform(-1e-7, 1e-7, ties.size),  # near ties
+        rng.uniform(-1e5, 1e5, 1_000),  # past the integer table
+        [0.03125, 1.03125, -0.03125, 0.0, -0.0, -1e-9, 1e-9, -4e-5, 4095.99994, 4095.99996,
+         -4095.99996, 4096.0, 1e300, np.inf, -np.inf, np.nan],
+    ])
+    assert values.size > 200_000
+    got = _fmt_many(values)
+    want = [_fmt(v) for v in values.tolist()]
+    assert [(v, g) for v, g, w in zip(values.tolist(), got, want) if g != w] == []
+    assert _fmt_many(np.array([0.03125, 1.03125, -0.0, -1e-9, 1e-9])) == ["0.0312", "1.0312", "-0", "-0", "0"]
+    assert _fmt_many(np.array([])) == []
 
 
 def test_csv_header_required():

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RationalField, RepresentationConfig, _numerator_rows, position_map
-from .fields import position_basis_fields
+from .fields import RationalField, RepresentationConfig, _basis, _numerator_rows, position_map
 from .polynomials import Polynomial, _horner_with_bound, roots
 from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
@@ -251,11 +250,6 @@ def _is_product(psi: np.ndarray, factors) -> bool:
     w = _kron(factors)
     resid = np.linalg.norm(psi - np.vdot(w, psi) / np.vdot(w, w) * w)
     return bool(resid <= FACTOR_SV_RTOL * np.linalg.norm(psi))
-
-
-@functools.lru_cache(maxsize=16)
-def _basis(cfg: RepresentationConfig) -> tuple[RationalField, ...]:
-    return tuple(position_basis_fields(cfg))
 
 
 def _als_sweep(psi: np.ndarray, factors) -> list[np.ndarray]:

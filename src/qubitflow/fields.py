@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
 from .polynomials import Polynomial
-from .states import QubitState, bits_of_index, complex_from_pair, make_basis_state
+from .states import QubitState, bits_of_index, complex_from_pair
 
 RANK_RTOL = 1e-9
 
@@ -61,13 +61,14 @@ class RepresentationConfig:
         if self.d < 1:
             raise ValueError("d must be >= 1")
         defs = tuple(complex(a) for a in self.defects)
+        for a in defs:
+            if not cmath.isfinite(a):
+                raise ValueError(f"defect center {a} is not finite")
         if self.kind == "position":
             if len(defs) != self.n:
                 raise ValueError(f"position map needs {self.n} defect centers")
-            for i in range(len(defs)):
-                for j in range(i + 1, len(defs)):
-                    if defs[i] == defs[j]:
-                        raise ValueError("defect centers must be distinct")
+            if len(set(defs)) != len(defs):
+                raise ValueError("defect centers must be distinct")
         object.__setattr__(self, "defects", defs)
 
 
@@ -77,20 +78,15 @@ def make_charge_config(n: int, d: int | None = None) -> RepresentationConfig:
 
 def make_position_config(n: int, d: int | None = None, defects=None) -> RepresentationConfig:
     if defects is None:
-        if n in _DEFAULT_DEFECTS:
-            defects = _DEFAULT_DEFECTS[n]
-        else:
-            # n-th roots of unity; fine as long as the independence check passes
-            defects = tuple(np.exp(2j * np.pi * k / n) for k in range(n))
+        # other sizes get the n-th roots of unity, fine if the independence check passes
+        defects = _DEFAULT_DEFECTS.get(n) or tuple(np.exp(2j * np.pi * k / n) for k in range(n))
+    d = _DEFAULT_POSITION_D.get(n) if d is None else d
     if d is None:
-        if n in _DEFAULT_POSITION_D:
-            d = _DEFAULT_POSITION_D[n]
-        else:
-            raise ValueError(f"no default exponent for n={n}; pass d explicitly")
+        raise ValueError(f"no default exponent for n={n}; pass d explicitly")
     cfg = RepresentationConfig("position", n, d, tuple(defects))
     if n not in _DEFAULT_POSITION_D:
         # no vetted default for this register size; insist the basis is usable
-        ok, rank = check_linear_independence(position_basis_fields(cfg))
+        ok, rank = check_linear_independence(_basis(cfg))
         if not ok:
             raise ValueError(
                 f"basis fields for this configuration are dependent (rank {rank} of {2**n})"
@@ -204,11 +200,10 @@ def ternary_exponent(tau: str, d: int) -> int:
 def charge_map(state: QubitState, d: int = DEFAULT_CHARGE_D) -> LaurentField:
     """Superpose the monomials z**c(sigma) with the state's amplitudes."""
     terms: dict[int, complex] = {}
-    for idx, amp in enumerate(state.amplitudes):
-        if amp == 0:
-            continue
-        c = exponent(bits_of_index(idx, state.n), d)
-        terms[c] = terms.get(c, 0.0) + amp
+    for amp, fld in zip(state.amplitudes, _basis(make_charge_config(state.n, d))):
+        if amp != 0:
+            (c,) = fld.terms
+            terms[c] = terms.get(c, 0.0) + amp
     return LaurentField(terms)
 
 
@@ -219,25 +214,36 @@ def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
     if cfg.n != state.n:
         raise ValueError(f"configuration is for {cfg.n} qubits, state has {state.n}")
     total = Polynomial([0.0])
-    for idx, amp in enumerate(state.amplitudes):
-        if amp == 0:
-            continue
-        bits = bits_of_index(idx, state.n)
-        factors = [(cfg.defects[j], 2 * cfg.d) for j, b in enumerate(bits) if b == "1"]
-        total = total + Polynomial.from_linear_factors(factors).scale(amp)
+    for amp, fld in zip(state.amplitudes, _basis(cfg)):
+        if amp != 0:
+            total = total + fld.numerator.scale(amp)
     return RationalField(total, tuple((a, cfg.d) for a in cfg.defects))
 
 
+def _basis(cfg: RepresentationConfig) -> tuple:
+    """The 2**n basis fields of ``cfg`` in index order, built once and shared: fields are values."""
+    # keyed by the centers' bytes too: equal configs may differ in the sign of a zero
+    return _build_basis(cfg, np.array(cfg.defects, dtype=complex).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _build_basis(cfg: RepresentationConfig, centers_key: bytes) -> tuple:
+    rows = [bits_of_index(i, cfg.n) for i in range(2**cfg.n)]
+    if cfg.kind == "charge":
+        return tuple(LaurentField({exponent(bits, cfg.d): 1.0}) for bits in rows)
+    factors = ([(a, 2 * cfg.d) for a, b in zip(cfg.defects, bits) if b == "1"] for bits in rows)
+    spec = tuple((a, cfg.d) for a in cfg.defects)
+    return tuple(RationalField(Polynomial.from_linear_factors(f), spec) for f in factors)
+
+
 def charge_basis_fields(n: int, d: int) -> list[LaurentField]:
-    return [
-        LaurentField({exponent(bits_of_index(i, n), d): 1.0}) for i in range(2**n)
-    ]
+    return list(_basis(make_charge_config(n, d)))
 
 
 def position_basis_fields(cfg: RepresentationConfig) -> list[RationalField]:
-    return [
-        position_map(make_basis_state(cfg.n, bits_of_index(i, cfg.n)), cfg) for i in range(2**cfg.n)
-    ]
+    if cfg.kind != "position":
+        raise ValueError("position_map needs a position configuration")
+    return list(_basis(cfg))
 
 
 def laurent_mul(f1: LaurentField, f2: LaurentField) -> LaurentField:
@@ -251,9 +257,7 @@ def laurent_mul(f1: LaurentField, f2: LaurentField) -> LaurentField:
 
 def basis_fields(cfg: RepresentationConfig) -> list:
     """The 2**n basis fields of a configuration, in basis-index order."""
-    if cfg.kind == "charge":
-        return charge_basis_fields(cfg.n, cfg.d)
-    return position_basis_fields(cfg)
+    return list(_basis(cfg))
 
 
 def map_state(state: QubitState, cfg: RepresentationConfig):
@@ -346,7 +350,7 @@ def check_linear_independence(fields) -> tuple[bool, int]:
 def evaluation_matrix(cfg: RepresentationConfig, points) -> np.ndarray:
     """Field values of the basis family at chosen plane points, one row per point."""
     pts = np.asarray(points, dtype=complex)
-    return np.column_stack([eval_many(f, pts) for f in basis_fields(cfg)])
+    return np.column_stack([eval_many(f, pts) for f in _basis(cfg)])
 
 
 def nonsingularity_gap(matrix: np.ndarray, sweeps: int = 50) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .fields import LaurentField, RepresentationConfig, basis_fields
+from .fields import LaurentField, RepresentationConfig, _basis
 from .polynomials import derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
@@ -62,7 +62,7 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     do not hang on roundoff.  Anything above 1e8 is rejected as numerically
     useless.
     """
-    fields = basis_fields(cfg)
+    fields = _basis(cfg)
     keepout = {a for f in fields for a, _ in f.denominator_spec}
     scanned = []
     for r in PROBE_RADII:

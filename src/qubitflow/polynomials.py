@@ -167,10 +167,11 @@ def _newton_polygon_starts(c: np.ndarray) -> np.ndarray:
         logs = np.log(np.abs(c))
     hull: list[int] = []
     for i in np.flatnonzero(c).tolist():
-        # drop the last vertex while it lies on or below the chord to point i
+        # drop the last vertex while it lies below, on or within roundoff (1e-12 in
+        # log|c|) of the chord to point i, so no two edges of one radius share angles
         while len(hull) >= 2 and (logs[hull[-1]] - logs[hull[-2]]) * (i - hull[-2]) <= (
             logs[i] - logs[hull[-2]]
-        ) * (hull[-1] - hull[-2]):
+        ) * (hull[-1] - hull[-2]) + 1e-12 * (i - hull[-2]):
             hull.pop()
         hull.append(i)
     k = np.array(hull)

@@ -1,0 +1,218 @@
+"""One cached basis per configuration: the maps and the basis lists read it bit for bit."""
+
+import json
+
+import numpy as np
+import pytest
+
+from qubitflow import (
+    GATES,
+    LaurentField,
+    QubitState,
+    RationalField,
+    RepresentationConfig,
+    apply_gate,
+    basis_fields,
+    charge_basis_fields,
+    charge_map,
+    cphase,
+    defects,
+    exponent,
+    fields,
+    make_basis_state,
+    make_charge_config,
+    make_position_config,
+    position_basis_fields,
+    position_map,
+    qft,
+)
+from qubitflow.cli import main
+from qubitflow.polynomials import Polynomial
+from qubitflow.states import bits_of_index
+
+
+# ---- the per-call construction the cache replaced, kept as the reference
+
+
+def reference_charge_map(state, d):
+    terms = {}
+    for idx, amp in enumerate(state.amplitudes):
+        if amp == 0:
+            continue
+        c = exponent(bits_of_index(idx, state.n), d)
+        terms[c] = terms.get(c, 0.0) + amp
+    return LaurentField(terms)
+
+
+def reference_position_map(state, cfg):
+    total = Polynomial([0.0])
+    for idx, amp in enumerate(state.amplitudes):
+        if amp == 0:
+            continue
+        bits = bits_of_index(idx, state.n)
+        factors = [(cfg.defects[j], 2 * cfg.d) for j, b in enumerate(bits) if b == "1"]
+        total = total + Polynomial.from_linear_factors(factors).scale(amp)
+    return RationalField(total, tuple((a, cfg.d) for a in cfg.defects))
+
+
+def reference_charge_basis(n, d):
+    return [LaurentField({exponent(bits_of_index(i, n), d): 1.0}) for i in range(2**n)]
+
+
+def reference_position_basis(cfg):
+    return [
+        reference_position_map(make_basis_state(cfg.n, bits_of_index(i, cfg.n)), cfg)
+        for i in range(2**cfg.n)
+    ]
+
+
+# ---- bitwise comparison: int64 views, so that signed zeros count
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=complex).view(np.int64).tolist()
+
+
+def field_bits(f):
+    if isinstance(f, LaurentField):
+        return sorted((c, bits([a])) for c, a in f.terms.items())
+    spec = [(bits([a]), m) for a, m in f.denominator_spec]
+    return bits(f.numerator.coeffs), spec
+
+
+def assert_same_fields(got, want):
+    assert [type(f) for f in got] == [type(f) for f in want]
+    assert [field_bits(f) for f in got] == [field_bits(f) for f in want]
+
+
+# ---- seeded states
+
+
+def _normalized(v):
+    return v / np.linalg.norm(v)
+
+
+def seeded_states(rng, n):
+    out = [QubitState(n, _normalized(rng.normal(size=2**n) + 1j * rng.normal(size=2**n))) for _ in range(3)]
+    for skew in (False, True):
+        amps = np.ones(1, dtype=complex)
+        for _ in range(n):
+            q = rng.normal(size=2) + 1j * rng.normal(size=2)
+            if skew:
+                q[1] *= 10 ** rng.uniform(-8, -2)
+            amps = np.kron(amps, q)
+        out.append(QubitState(n, _normalized(amps)))
+    st = qft(make_basis_state(n, "".join(str(b) for b in rng.integers(0, 2, n))))
+    for gate in ("H", "T", "X", "S"):
+        st = apply_gate(st, GATES[gate], [int(rng.integers(1, n + 1))])
+    if n >= 2:
+        st = apply_gate(st, cphase(0.7), [1, 2])
+    out.append(st)
+    amps = out[0].amplitudes.copy()
+    amps[rng.integers(0, 2**n)] = 0.0
+    out.append(QubitState(n, amps))
+    out.append(make_basis_state(n, "1" * n))
+    return out
+
+
+def position_configs(rng, n):
+    return [
+        make_position_config(n),
+        make_position_config(n, 2),
+        make_position_config(n, 1 + n % 3, tuple(rng.normal(size=n) + 1j * rng.normal(size=n))),
+        make_position_config(n, 2, tuple(complex(-0.0, k) for k in range(n))),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maps_and_basis_lists_match_the_per_call_construction_bitwise(n):
+    rng = np.random.default_rng(800 + n)
+    cfgs = position_configs(rng, n)
+    for cfg in cfgs:
+        want = reference_position_basis(cfg)
+        assert_same_fields(position_basis_fields(cfg), want)
+        assert_same_fields(basis_fields(cfg), want)
+    for d in (1, 2, 3):
+        want = reference_charge_basis(n, d)
+        assert_same_fields(charge_basis_fields(n, d), want)
+        assert_same_fields(basis_fields(make_charge_config(n, d)), want)
+    for state in seeded_states(rng, n):
+        for cfg in cfgs:
+            got, want = position_map(state, cfg), reference_position_map(state, cfg)
+            assert field_bits(got) == field_bits(want)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        for d in (1, 2, 3):
+            assert field_bits(charge_map(state, d)) == field_bits(reference_charge_map(state, d))
+
+
+def test_one_shared_basis_per_configuration():
+    cfg = make_position_config(3)
+    first, second = basis_fields(cfg), basis_fields(cfg)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    assert all(a is b for a, b in zip(position_basis_fields(cfg), first))
+    assert defects._basis is fields._basis  # no second cache
+
+
+def test_mutating_a_returned_basis_list_changes_no_later_result():
+    cfg = make_position_config(2)
+    state = QubitState(2, np.array([0.5, 0.5j, -0.5, 0.5]))
+    before = field_bits(position_map(state, cfg))
+    listed = basis_fields(cfg)
+    listed.reverse()
+    listed[0] = listed[1]
+    listed.append(None)
+    assert_same_fields(basis_fields(cfg), reference_position_basis(cfg))
+    assert field_bits(position_map(state, cfg)) == before
+
+    charge = charge_basis_fields(2, 3)
+    charge.clear()
+    assert_same_fields(charge_basis_fields(2, 3), reference_charge_basis(2, 3))
+    assert field_bits(charge_map(state, 3)) == field_bits(reference_charge_map(state, 3))
+
+
+@pytest.mark.parametrize("order", ["positive-first", "negative-first"])
+def test_equal_configs_with_signed_zero_centers_keep_their_own_bytes(order):
+    centers = {
+        "positive": (0j, 1 + 0j),
+        "negative": (complex(-0.0, -0.0), complex(1.0, -0.0)),
+    }
+    cfgs = {k: RepresentationConfig("position", 2, 2, c) for k, c in centers.items()}
+    assert cfgs["positive"] == cfgs["negative"]
+    assert hash(cfgs["positive"]) == hash(cfgs["negative"])
+    keys = ["positive", "negative"] if order == "positive-first" else ["negative", "positive"]
+    state = QubitState(2, np.array([0.6, 0.0, 0.0, 0.8j]))
+    for key in keys:
+        cfg = cfgs[key]
+        assert_same_fields(basis_fields(cfg), reference_position_basis(cfg))
+        got, want = position_map(state, cfg), reference_position_map(state, cfg)
+        assert field_bits(got) == field_bits(want)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    negative_spec = basis_fields(cfgs["negative"])[0].denominator_spec
+    assert np.signbit(negative_spec[0][0].real) and np.signbit(negative_spec[1][0].imag)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf), complex(-np.inf, np.nan)])
+def test_config_rejects_a_non_finite_center_by_name(bad):
+    with pytest.raises(ValueError, match=r"defect center .* is not finite"):
+        RepresentationConfig("position", 2, 1, (bad, 1 + 0j))
+    with pytest.raises(ValueError, match=r"defect center .* is not finite"):
+        make_position_config(2, 1, (bad, 1 + 0j))
+
+
+def test_config_distinct_centers_by_set():
+    with pytest.raises(ValueError, match="distinct"):
+        RepresentationConfig("position", 3, 1, (1j, -1 + 0j, 1j))
+    with pytest.raises(ValueError, match="distinct"):
+        RepresentationConfig("position", 2, 1, (0j, complex(-0.0, 0.0)))
+    assert RepresentationConfig("position", 3, 1, (1j, -1 + 0j, 1 + 0j)).defects == (1j, -1 + 0j, 1 + 0j)
+
+
+@pytest.mark.parametrize("command", ["map", "gram", "checkli"])
+def test_cli_rejects_a_non_finite_center(tmp_path, capsys, command):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(make_basis_state(2, "01").to_dict()))
+    argv = {"map": ["map", "--in", str(state)], "gram": ["gram", "--n", "2"], "checkli": ["checkli", "--n", "2"]}
+    assert main(argv[command] + ["--defects", "nan", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: defect center (nan+0j) is not finite")

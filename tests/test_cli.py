@@ -352,3 +352,21 @@ def test_circuit_rejects_non_finite_gate_angle(tmp_path, capsys, theta):
     assert main(["circuit", "--in", str(circuit)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: gate 'CP({theta:g})' has a non-finite entry")
+
+
+def test_analyze_equal_modulus_charge_field(tmp_path):
+    # init 101, QFT, Z then H on qubit 1 in the charge representation with d = 3:
+    # 24 simple zeros on the unit circle, which the root finder once failed to separate
+    ops = [{"gate": "QFT"}, {"gate": "Z", "targets": [1]}, {"gate": "H", "targets": [1]}]
+    spec = {"n": 3, "init": "101", "ops": ops}
+    circuit = tmp_path / "circuit.json"
+    circuit.write_text(json.dumps(spec))
+    steps = tmp_path / "steps.json"
+    assert main(["circuit", "--in", str(circuit), "--rep", "charge", "--d", "3", "--out", str(steps)]) == 0
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(json.loads(steps.read_text())["steps"][-1]["field"]))
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--in", str(field), "--out", str(out)]) == 0
+    zeros = json.loads(out.read_text())["defects"]["zeros"]
+    assert len(zeros) == 24 and all(m == 1 for _, _, m in zeros)
+    assert all(abs(abs(complex(re, im)) - 1.0) <= 1e-12 for re, im, _ in zeros)

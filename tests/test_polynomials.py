@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from qubitflow import (
+    GATES,
     LaurentField,
     PoleEvaluationError,
     Polynomial,
     QubitState,
     RationalField,
     RootFindingError,
+    apply_gate,
     charge_map,
     derivative_eval,
+    make_basis_state,
     make_position_config,
     position_map,
+    qft,
     roots,
     tensor,
     wronskian_matrix,
 )
+from qubitflow.polynomials import _newton_polygon_starts
 
 
 def test_arithmetic_basics():
@@ -271,3 +276,26 @@ def test_non_finite_coefficients_rejected():
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         with pytest.raises(ValueError, match="non-finite"):
             Polynomial([1.0, bad])
+
+
+def _equal_modulus_charge_numerator() -> Polynomial:
+    # init 101, QFT, Z then H on qubit 1, charge d = 3: c0 + c6 z^6 + c18 z^18 +
+    # c24 z^24 with equal |c| and roundoff-level terms in between
+    state = apply_gate(apply_gate(qft(make_basis_state(3, "101")), GATES["Z"], [1]), GATES["H"], [1])
+    return charge_map(state, 3).numerator
+
+
+def test_newton_polygon_ignores_roundoff_above_a_chord():
+    numerator = _equal_modulus_charge_numerator()
+    starts = _newton_polygon_starts(numerator.coeffs / numerator.coeffs[-1])
+    assert np.unique(starts).size == 24
+
+
+def test_roots_of_equal_modulus_sparse_numerator_converge():
+    numerator = _equal_modulus_charge_numerator()
+    assert numerator.degree == 24
+    rs = roots(numerator)
+    assert rs.total_multiplicity() == 24 and rs.iterations <= 60
+    found = np.array([r for r, _ in rs.roots])
+    for r in np.roots(numerator.coeffs[::-1]):
+        assert np.min(np.abs(found - r)) <= 1e-12

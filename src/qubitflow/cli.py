@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -312,6 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_checkli)
 
+    # argparse takes -1j or -1-1j for an option: its negative-number pattern has no complex literals
+    number = r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(rf"^-{number}(j|[+-]{number}j)?$")
     return parser
 
 

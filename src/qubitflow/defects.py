@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RationalField, RepresentationConfig, _basis, _numerator_rows, position_map
+from .fields import RationalField, RepresentationConfig, _basis, _poles, position_map
 from .polynomials import Polynomial, _horner_with_bound, roots
 from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
@@ -81,9 +81,7 @@ def extract_defects(field) -> DefectSet:
     """
     if field.is_zero():
         raise ValueError("the zero field has no defects")
-    agg: dict[complex, int] = {}
-    for a, m in field.denominator_spec:
-        agg[a] = agg.get(a, 0) + m
+    agg = _poles(field)
     coeffs = field.numerator.coeffs.copy()
     center_mult: dict[complex, int] = {}
     for a in agg:
@@ -281,8 +279,9 @@ def field_separability(
     ||psi - lam w|| <= tau ||psi||.  Pairs are scaled as the halos are: beta
     real positive (alpha if the halo's beta is 0), larger modulus 1.
     Recovery: psi = lam w + lstsq(M, N - lam M w), with M the basis
-    numerators as columns, N the field's numerator and lam the fit of M w to
-    N; on a dependent basis this picks the state with this field nearest w.
+    numerators as columns (cached per configuration), N the field's numerator
+    and lam the fit of M w to N; on a dependent basis this picks the state
+    with this field nearest w.
     Miss: an empty witness (entangled) when a zero is left out of the halos,
     when N lies farther than tau ||N|| from the span of M, or when w fails.
     """
@@ -290,8 +289,7 @@ def field_separability(
         report = detect_halos(extract_defects(field), cfg)
     if not report.all_accounted():
         return False, ()
-    rows = _numerator_rows([field, *_basis(cfg)])
-    numer, basis = rows[0], rows[1:].T
+    numer, basis = _basis(cfg).align(field), _basis(cfg).recovery.matrix
     start = [np.array([h.alpha, h.beta]) for h in report.halos]
     w = _kron(start)
     mw = basis @ w

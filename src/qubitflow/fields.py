@@ -23,6 +23,7 @@ import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -86,30 +87,33 @@ def make_position_config(n: int, d: int | None = None, defects=None) -> Represen
     cfg = RepresentationConfig("position", n, d, tuple(defects))
     if n not in _DEFAULT_POSITION_D:
         # no vetted default for this register size; insist the basis is usable
-        ok, rank = check_linear_independence(_basis(cfg))
-        if not ok:
+        rank = _basis(cfg).recovery.rank
+        if rank < 2**n:
             raise ValueError(
                 f"basis fields for this configuration are dependent (rank {rank} of {2**n})"
             )
     return cfg
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaurentField:
     """Sparse Laurent polynomial: exponent -> coefficient, zeros omitted.
 
-    ``numerator`` and ``denominator_spec`` are the same field in rational
-    form, computed on first use and cached, so ``terms`` must not change
-    afterwards.
+    ``terms`` is a read-only mapping.  ``numerator`` and ``denominator_spec``
+    are the same field in rational form, computed on first use and cached.
     """
 
-    terms: dict[int, complex]
+    terms: MappingProxyType
 
     def __post_init__(self):
-        self.terms = {int(c): complex(a) for c, a in self.terms.items() if a != 0}
-        for c, a in self.terms.items():
+        terms = {int(c): complex(a) for c, a in self.terms.items() if a != 0}
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        for c, a in terms.items():
             if not cmath.isfinite(a):
                 raise ValueError(f"non-finite coefficient {a} of z**{c}")
+
+    def __reduce__(self):  # a mappingproxy does not pickle or copy
+        return LaurentField, (dict(self.terms),)
 
     @cached_property
     def denominator_spec(self) -> tuple[tuple[complex, int], ...]:
@@ -136,7 +140,7 @@ class LaurentField:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RationalField:
     """Numerator polynomial over a fixed factored denominator prod (z-a)**m."""
 
@@ -144,10 +148,9 @@ class RationalField:
     denominator_spec: tuple[tuple[complex, int], ...]
 
     def __post_init__(self):
-        self.denominator_spec = tuple(
-            (complex(a), int(m)) for a, m in self.denominator_spec
-        )
-        for _, m in self.denominator_spec:
+        spec = tuple((complex(a), int(m)) for a, m in self.denominator_spec)
+        object.__setattr__(self, "denominator_spec", spec)
+        for _, m in spec:
             if m < 1:
                 raise ValueError("denominator multiplicities must be >= 1")
 
@@ -220,20 +223,44 @@ def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
     return RationalField(total, tuple((a, cfg.d) for a in cfg.defects))
 
 
-def _basis(cfg: RepresentationConfig) -> tuple:
+def _basis(cfg: RepresentationConfig) -> "_Basis":
     """The 2**n basis fields of ``cfg`` in index order, built once and shared: fields are values."""
     # keyed by the centers' bytes too: equal configs may differ in the sign of a zero
     return _build_basis(cfg, np.array(cfg.defects, dtype=complex).tobytes())
 
 
+class _Basis(tuple):
+    """Fields in index order.  ``recovery``, built once, holds M (their numerators over the common
+    denominator, as columns) and, from one SVD, its pinv, condition and rank."""
+
+    @cached_property
+    def recovery(self) -> SimpleNamespace:
+        m = _numerator_rows(self).T
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        rank = int(np.sum(s > RANK_RTOL * s[0]))
+        pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
+        for a in (m, pinv):
+            a.setflags(write=False)
+        cond = float(s[0] / s[-1]) if rank == m.shape[1] else np.inf
+        return SimpleNamespace(matrix=m, pinv=pinv, condition=cond, rank=rank)
+
+    def align(self, field) -> np.ndarray:
+        """N: the field's numerator over M's denominator, one entry per row of M."""
+        # basis state 0 has the deepest poles: every center in position, z**-K in charge
+        row = _numerator_rows([field], _poles(self[0]), len(self.recovery.matrix))[0]
+        if row.size > len(self.recovery.matrix):
+            raise ValueError("field has a degree outside the span of the basis")
+        return row
+
+
 @lru_cache(maxsize=32)
-def _build_basis(cfg: RepresentationConfig, centers_key: bytes) -> tuple:
+def _build_basis(cfg: RepresentationConfig, centers_key: bytes) -> _Basis:
     rows = [bits_of_index(i, cfg.n) for i in range(2**cfg.n)]
     if cfg.kind == "charge":
-        return tuple(LaurentField({exponent(bits, cfg.d): 1.0}) for bits in rows)
+        return _Basis(LaurentField({exponent(bits, cfg.d): 1.0}) for bits in rows)
     factors = ([(a, 2 * cfg.d) for a, b in zip(cfg.defects, bits) if b == "1"] for bits in rows)
     spec = tuple((a, cfg.d) for a in cfg.defects)
-    return tuple(RationalField(Polynomial.from_linear_factors(f), spec) for f in factors)
+    return _Basis(RationalField(Polynomial.from_linear_factors(f), spec) for f in factors)
 
 
 def charge_basis_fields(n: int, d: int) -> list[LaurentField]:
@@ -303,20 +330,26 @@ def eval_field(fld, z: complex) -> tuple[complex, tuple[float, float]]:
     return val, (val.real, -val.imag)
 
 
-def _numerator_rows(fields) -> np.ndarray:
-    """Numerators of ``fields`` over one shared denominator, as zero-padded coefficient rows."""
-    specs = []
-    for f in fields:
-        agg: dict[complex, int] = {}
-        for a, m in f.denominator_spec:
-            agg[a] = agg.get(a, 0) + m
-        specs.append(agg)
-    common: dict[complex, int] = {}
-    for spec in specs:
-        for a, m in spec.items():
-            common[a] = max(common.get(a, 0), m)
+def _poles(field) -> dict[complex, int]:
+    agg: dict[complex, int] = {}
+    for a, m in field.denominator_spec:
+        agg[a] = agg.get(a, 0) + m
+    return agg
+
+
+def _numerator_rows(fields, common=None, width: int = 0) -> np.ndarray:
+    """Numerators of ``fields`` over the denominator ``common`` ({center: order}; by default
+    the least common one), as coefficient rows zero-padded to at least ``width``."""
+    specs = [_poles(f) for f in fields]
+    if common is None:
+        common = {}
+        for spec in specs:
+            for a, m in spec.items():
+                common[a] = max(common.get(a, 0), m)
     rows = []
     for f, spec in zip(fields, specs):
+        if any(m > common.get(a, 0) for a, m in spec.items()):
+            raise ValueError("field has a pole outside the shared denominator")
         numer = f.numerator.coeffs
         for a, m in common.items():
             k = m - spec.get(a, 0)
@@ -325,7 +358,7 @@ def _numerator_rows(fields) -> np.ndarray:
             elif k:
                 numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
         rows.append(numer)
-    mat = np.zeros((len(rows), max(r.size for r in rows)), dtype=complex)
+    mat = np.zeros((len(rows), max(width, *(r.size for r in rows))), dtype=complex)
     for i, r in enumerate(rows):
         mat[i, : r.size] = r
     return mat
@@ -334,16 +367,12 @@ def _numerator_rows(fields) -> np.ndarray:
 def check_linear_independence(fields) -> tuple[bool, int]:
     """Numerical rank of a field list via singular values of a coefficient matrix.
 
-    Fields are rewritten over a common denominator, stacked as coefficient
-    rows, and the rank counts singular values above RANK_RTOL times the
-    largest.
+    Fields are rewritten over a common denominator as the columns of M, and
+    the rank counts singular values above RANK_RTOL times the largest.
     """
     if not fields:
         raise ValueError("need at least one field")
-    s = np.linalg.svd(_numerator_rows(fields), compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return False, 0
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    rank = _Basis(fields).recovery.rank
     return rank == len(fields), rank
 
 

@@ -2,9 +2,10 @@
 
 The Gram route evaluates each field and its first 2^n - 1 derivatives at a
 probe point alpha, collects the basis images as columns of B(alpha), and uses
-P = (B^-1)^dagger B^-1 so the basis fields come out orthonormal.  The circle
-route averages conj(f1) * f2 over uniform unit-circle nodes, which is exact
-for Laurent fields once the node count beats the largest exponent spread.
+P = (B^-1)^dagger B^-1 so the basis fields come out orthonormal; where no
+probe is conditioned, amplitude recovery M^+ N from the basis coefficient
+matrix M takes the derivatives' place.  The circle route is the exact
+coefficient overlap of two Laurent fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .fields import LaurentField, RepresentationConfig, _basis
+from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows
 from .polynomials import derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
@@ -26,11 +27,11 @@ PROBE_KEEPOUT = 1e-3
 
 @dataclass(frozen=True)
 class GramContext:
-    """Probe point, basis matrix, and weight matrix for one configuration."""
+    """Probe point (None for amplitude recovery), basis and weight matrices of one configuration."""
 
     config: RepresentationConfig
-    alpha: complex
-    basis_matrix: np.ndarray  # B: column sigma holds derivatives 0..2^n-1
+    alpha: complex | None
+    basis_matrix: np.ndarray  # B: column sigma holds Pi of basis field sigma
     weight: np.ndarray  # P = (B^-1)^dagger B^-1, Hermitian positive definite
     condition_estimate: float
 
@@ -39,12 +40,15 @@ class GramContext:
         return self.basis_matrix.shape[0]
 
     def pi(self, field) -> np.ndarray:
-        """Evaluation functional: field and derivatives at the probe point."""
+        """The functional: derivatives at the probe point, or the amplitudes M^+ N."""
+        if self.alpha is None:
+            basis = _basis(self.config)
+            return basis.recovery.pinv @ basis.align(field)
         return derivative_eval(field, self.alpha, self.order - 1)
 
     def to_dict(self) -> dict:
         return {
-            "alpha": [self.alpha.real, self.alpha.imag],
+            "alpha": None if self.alpha is None else [self.alpha.real, self.alpha.imag],
             "condition_estimate": self.condition_estimate,
             "basis_matrix": [
                 [[v.real, v.imag] for v in row] for row in self.basis_matrix
@@ -59,8 +63,9 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     Candidates on four circles are scanned in a fixed order, and the first
     whose 2-norm condition number is within CONDITION_TIE_RTOL of the
     smallest wins, so exact ties (every angle on a circle, for charge bases)
-    do not hang on roundoff.  Anything above 1e8 is rejected as numerically
-    useless.
+    do not hang on roundoff.  Above CONDITION_LIMIT the probe is numerically
+    useless, and amplitude recovery (alpha None, condition cond M) serves
+    instead; ConditioningError reports the best probe when M fails too.
     """
     fields = _basis(cfg)
     keepout = {a for f in fields for a, _ in f.denominator_spec}
@@ -74,12 +79,13 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
             cond = float(np.linalg.cond(b))
             if np.isfinite(cond):
                 scanned.append((cond, complex(alpha), b))
-    if not scanned:
-        raise ConditioningError(None, float("inf"))
-    tie = min(item[0] for item in scanned) * (1.0 + CONDITION_TIE_RTOL)
-    cond, alpha, b = next(item for item in scanned if item[0] <= tie)
+    tie = min((item[0] for item in scanned), default=np.inf) * (1.0 + CONDITION_TIE_RTOL)
+    cond, alpha, b = next((item for item in scanned if item[0] <= tie), (np.inf, None, None))
     if cond > CONDITION_LIMIT:
-        raise ConditioningError(alpha, cond)
+        rec = fields.recovery
+        if rec.condition > CONDITION_LIMIT:
+            raise ConditioningError(alpha, cond)
+        cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)
@@ -98,25 +104,17 @@ def gram_norm(field, ctx: GramContext) -> float:
 
 
 def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None = None) -> complex:
-    """Average conj(f1) * f2 over uniform nodes on the unit circle.
+    """The coefficient overlap sum_c conj(a_c) b_c of two Laurent fields.
 
-    Exact (equal to the coefficient overlap sum) whenever the node count
-    exceeds twice the largest absolute exponent of either field.
+    It equals the average of conj(f1) * f2 over ``nodes`` uniform points on
+    the unit circle when they exceed twice the largest |exponent|; fewer are
+    rejected.
     """
     if not isinstance(f1, LaurentField) or not isinstance(f2, LaurentField):
         raise ValueError("the circle inner product is defined for Laurent fields")
     max_exp = max(f1.max_abs_exponent(), f2.max_abs_exponent())
     required = 2 * max_exp + 1
-    if nodes is None:
-        nodes = 2 * max_exp + 8
-    if nodes < required:
+    if nodes is not None and nodes < required:
         raise ValueError(f"need at least {required} nodes for exponents up to {max_exp}")
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-
-    def values(f):
-        out = np.zeros(nodes, dtype=complex)
-        for c, a in f.terms.items():
-            out += a * z**c
-        return out
-
-    return complex(np.mean(np.conj(values(f1)) * values(f2)))
+    rows = _numerator_rows([f1, f2])
+    return complex(np.vdot(rows[0], rows[1]))

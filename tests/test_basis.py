@@ -1,6 +1,9 @@
 """One cached basis per configuration: the maps and the basis lists read it bit for bit."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -152,6 +155,11 @@ def test_one_shared_basis_per_configuration():
     assert all(a is b for a, b in zip(first, second))
     assert all(a is b for a, b in zip(position_basis_fields(cfg), first))
     assert defects._basis is fields._basis  # no second cache
+    # the certificate and the Gram context read one M, cached with the fields
+    rec = fields._basis(cfg).recovery
+    assert rec is fields._basis(make_position_config(3)).recovery
+    assert np.array_equal(rec.matrix, fields._numerator_rows(first).T)
+    assert not rec.matrix.flags.writeable and not rec.pinv.flags.writeable
 
 
 def test_mutating_a_returned_basis_list_changes_no_later_result():
@@ -169,6 +177,24 @@ def test_mutating_a_returned_basis_list_changes_no_later_result():
     charge.clear()
     assert_same_fields(charge_basis_fields(2, 3), reference_charge_basis(2, 3))
     assert field_bits(charge_map(state, 3)) == field_bits(reference_charge_map(state, 3))
+
+
+def test_shared_basis_fields_cannot_be_changed():
+    cfg = make_position_config(2)
+    state = QubitState(2, np.array([0.5, 0.5j, -0.5, 0.5]))
+    before = field_bits(position_map(state, cfg))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis_fields(cfg)[1].numerator = Polynomial([5.0])
+    charge = charge_basis_fields(2, 3)[0]
+    with pytest.raises(TypeError):
+        charge.terms[7] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        charge.terms = {7: 1.0}
+    assert field_bits(position_map(state, cfg)) == before
+    assert field_bits(charge_map(state, 3)) == field_bits(reference_charge_map(state, 3))
+    assert_same_fields(basis_fields(cfg), reference_position_basis(cfg))
+    for f in (charge, basis_fields(cfg)[1]):
+        assert field_bits(pickle.loads(pickle.dumps(f))) == field_bits(copy.deepcopy(f)) == field_bits(f)
 
 
 @pytest.mark.parametrize("order", ["positive-first", "negative-first"])

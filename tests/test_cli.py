@@ -77,6 +77,23 @@ def test_gram_subcommand(tmp_path):
     assert data["condition_estimate"] < 1e8
     # The degenerate three-qubit d=1 family fails conditioning: exit code 3.
     assert main(["gram", "--n", "3", "--rep", "position", "--d", "1"]) == 3
+    # No probe point conditions three-qubit charge; amplitude recovery answers.
+    assert main(["gram", "--n", "3", "--rep", "charge", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["alpha"] is None and data["condition_estimate"] == pytest.approx(1.0)
+    assert len(data["weight"]) == 8
+
+
+@pytest.mark.parametrize("command", ["checkli", "gram"])
+def test_defects_take_complex_literals_that_start_with_a_dash(capsys, command):
+    assert main([command, "--n", "4"]) == 0
+    default = capsys.readouterr().out
+    assert main([command, "--n", "4", "--defects", "-1", "1j", "1", "-1j"]) == 0
+    assert capsys.readouterr().out == default
+    assert main([command, "--n", "2", "--defects", "-1-1j", "-.5e1+2j"]) == 0
+    written = capsys.readouterr().out
+    assert main([command, "--n", "2", "--defects", "(-1-1j)", "(-5+2j)"]) == 0
+    assert capsys.readouterr().out == written
 
 
 def test_circuit_steps_and_fields(tmp_path):

@@ -7,6 +7,7 @@ from qubitflow import (
     ConditioningError,
     LaurentField,
     QubitState,
+    basis_fields,
     build_gram,
     charge_basis_fields,
     charge_map,
@@ -16,6 +17,7 @@ from qubitflow import (
     make_charge_config,
     make_named_state,
     make_position_config,
+    map_state,
     position_basis_fields,
     position_map,
     wronskian_matrix,
@@ -79,9 +81,37 @@ def test_gram_conditioning_failure_for_degenerate_config():
     assert exc.value.best_condition > 1e8
 
 
-def test_gram_conditioning_failure_for_three_qubit_charge():
-    with pytest.raises(ConditioningError):
-        build_gram(make_charge_config(3))
+def test_gram_recovers_amplitudes_for_three_qubit_charge():
+    # no probe point conditions this basis; the amplitude functional serves instead
+    cfg = make_charge_config(3)
+    ctx = build_gram(cfg)
+    assert ctx.alpha is None and ctx.order == 8
+    assert ctx.to_dict()["alpha"] is None
+    rng = np.random.default_rng(3)
+    a, b = random_state(rng, 3), random_state(rng, 3)
+    got = inner(charge_map(a, cfg.d), charge_map(b, cfg.d), ctx)
+    assert abs(got - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+    for outside in (LaurentField({100: 1.0}), LaurentField({-100: 1.0})):
+        with pytest.raises(ValueError, match="outside"):
+            inner(outside, outside, ctx)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_charge_config(n) for n in range(1, 6)]
+    + [make_position_config(n) for n in range(1, 5)]
+    + [make_position_config(5, 5)],
+    ids=lambda cfg: f"{cfg.kind}-n{cfg.n}-d{cfg.d}",
+)
+def test_gram_reproduces_amplitude_overlaps(cfg):
+    ctx = build_gram(cfg)
+    basis = np.array([ctx.pi(f) for f in basis_fields(cfg)]).T
+    assert np.max(np.abs(basis.conj().T @ ctx.weight @ basis - np.eye(2**cfg.n))) < 1e-9
+    rng = np.random.default_rng(1000 + cfg.n)
+    for _ in range(30):
+        a, b = random_state(rng, cfg.n), random_state(rng, cfg.n)
+        got = inner(map_state(a, cfg), map_state(b, cfg), ctx)
+        assert abs(got - np.vdot(a.amplitudes, b.amplitudes)) < 1e-9
 
 
 def test_gram_context_serializes():

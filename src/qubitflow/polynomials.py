@@ -5,13 +5,23 @@ The root finder is the Ehrlich-Aberth simultaneous iteration in Jacobi form
 roundoff bound at all approximations in one Horner pass of numpy array
 operations, then corrects every unconverged approximation from the previous
 sweep's positions.  Points outside the unit circle are evaluated on the
-reversed polynomial at 1/z, so a sweep never overflows.  The starting points
-come from the Newton polygon: each edge of the upper convex hull of
-(i, log|c_i|) places its share of the roots on a circle of the matching
-radius, at fixed angles so the output is deterministic.  Reaching the sweep
-cap raises ``RootFindingError``.  The approximations are then merged by
-greedy multiplicity clustering, and each cluster center of multiplicity m is
-refined by Newton's method on the (m-1)-th derivative.
+reversed polynomial at 1/z, so a sweep never overflows.  Reaching the sweep
+cap raises ``RootFindingError``.  Horner stays the evaluator, rather than a
+product with a matrix of powers, because it yields the roundoff bound that
+stops the sweep and keeps its accuracy near multiple roots.
+
+Up to degree ``EIGVALS_MAX_DEGREE`` the sweep starts from the eigenvalues of
+the companion matrix, one LAPACK call.  They are backward stable (Edelman and
+Murakami, Math. Comp. 64, 1995), so the first sweep usually certifies every
+root; their last digits depend on the host's LAPACK.  Above that degree the
+O(n^3) eigenvalue solve costs more than the sweeps it saves, and there, or
+when LAPACK fails or returns a non-finite value, the starts come from the
+Newton polygon: each edge of the upper convex hull of (i, log|c_i|) places
+its share of the roots on a circle of the matching radius, at fixed angles so
+the output is deterministic.  The approximations are then merged into the
+connected components of the within-``CLUSTER_REL_RADIUS`` graph, and each
+cluster center of multiplicity m is refined by Newton's method on the
+(m-1)-th derivative.
 """
 
 from __future__ import annotations
@@ -28,6 +38,10 @@ CLUSTER_REL_RADIUS = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 500
 START_ANGLE = 0.7  # Bini's offset of the starting circles, in radians
+# companion-matrix eigenvalue starts up to this degree, Newton-polygon starts
+# above: with OpenBLAS's LAPACK the eigenvalue solve doubles in time from
+# degree 75 to 76, and eigenvalue starts lose from degree 80 on
+EIGVALS_MAX_DEGREE = 64
 
 _EPS = np.finfo(float).eps
 
@@ -183,24 +197,40 @@ def _newton_polygon_starts(c: np.ndarray) -> np.ndarray:
     return np.repeat(radius, counts) * np.exp(1j * angles)
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Aberth-Ehrlich iteration in Jacobi form on a monic coefficient array.
+def _starts(c: np.ndarray) -> np.ndarray:
+    """Sweep starts for a monic coefficient array of degree >= 2.
 
-    Returns the approximations and the number of sweeps used.  Each sweep
-    moves every active root from the previous sweep's positions.  A root
-    stops when |p| is within 4x its roundoff bound or its step is below
-    ``tol * (1 + |z|)``.  Points outside the unit circle are evaluated on the
-    reversed polynomial at 1/z, so no sweep overflows.
+    The companion matrix's eigenvalues up to ``EIGVALS_MAX_DEGREE``; above
+    it, or when LAPACK fails or returns a non-finite value, the Newton-polygon
+    starts.
     """
     n = c.size - 1
-    if n == 1:
-        return np.array([-c[0]]), 0
-    z = _newton_polygon_starts(c)
+    if n <= EIGVALS_MAX_DEGREE:
+        companion = np.eye(n, k=-1, dtype=complex)
+        companion[:, -1] = -c[:-1]
+        try:
+            z = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.isfinite(z).all():
+                return z
+    return _newton_polygon_starts(c)
+
+
+def _aberth(c: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Aberth-Ehrlich iteration in Jacobi form on a monic coefficient array.
+
+    Starts from the approximations ``z`` and returns them moved, with the
+    number of sweeps used.  Each sweep moves every active root from the
+    previous sweep's positions.  A root stops when |p| is within 4x its
+    roundoff bound or its step is below ``tol * (1 + |z|)``.  Points outside
+    the unit circle are evaluated on the reversed polynomial at 1/z, so no
+    sweep overflows.
+    """
+    n = c.size - 1
     rev, fwd = c[::-1, None], c[:, None]
-    eye = np.eye(n)
     active = np.ones(n, dtype=bool)
-    # a zero derivative or a coincident pair makes non-finite values; those
-    # roots are nudged instead of stepped
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, max_iter + 1):
             az = np.abs(z)
@@ -209,21 +239,26 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
             v, dv, bound = _horner_with_bound(np.where(outside, rev, fwd), x)
             # p/p' = z q / (n q - x q') for the reversal q(x) = x^n p(1/x)
             newton = np.where(outside, z * v, v) / np.where(outside, n * v - x * dv, dv)
-            # the identity keeps each root's pairing with itself out of the
-            # Aberth sum and out of the coincidence test
-            diffs = z[:, None] - z + eye
-            denom = 1.0 - newton * (1.0 / diffs - eye).sum(axis=1)
-            w = np.where(denom == 0, newton, newton / denom)
-            coincident = (diffs == 0).any(axis=1)
-            stuck = ~np.isfinite(np.where(coincident, newton, w))
-            nudge = 1e-6 * (1.0 + az)
-            step = np.where(coincident, (-1.0 + 1.0j) * nudge, w)
-            step = np.where(stuck, (-1.0 - 1.0j) * nudge, step)
+            # an infinite diagonal keeps each root's pairing with itself out
+            # of the Aberth sum and out of the coincidence test
+            diffs = z[:, None] - z
+            diffs.flat[:: n + 1] = np.inf
+            denom = 1.0 - newton * (1.0 / diffs).sum(axis=1)
+            step = newton / denom
+            held = np.False_
+            # a coincident pair makes its rows' denominators non-finite, a zero
+            # derivative their steps; those roots are nudged instead of
+            # stepped, each in its own direction so that coincident ones part
+            if not (np.isfinite(denom).all() and np.isfinite(step).all()):
+                held = (diffs == 0).any(axis=1)
+                step = np.where(denom == 0, newton, step)
+                held |= ~np.isfinite(step)
+                step = np.where(held, 1e-6 * (1.0 + az) * np.exp(1j * np.arange(n)), step)
             conv = np.abs(v) <= 4.0 * bound
             step[conv | ~active] = 0.0
             z = z - step
             small = np.abs(step) <= tol * (1.0 + np.abs(z))
-            active &= ~(conv | (small & ~stuck & ~coincident))
+            active &= ~(conv | (small & ~held))
             if not active.any():
                 return z, sweep
     raise RootFindingError(
@@ -232,10 +267,15 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
 
 
 def _cluster(points: np.ndarray) -> list[list[int]]:
-    """Greedy union of approximations within CLUSTER_REL_RADIUS * (1 + |root|)."""
-    points = points.tolist()
-    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
-    parent = list(range(len(points)))
+    """Connected components of approximations within CLUSTER_REL_RADIUS * (1 + |root|).
+
+    Members are in index order, and groups in (re, im) order of their first
+    member, ties by that member's index.
+    """
+    mag = np.abs(points)
+    radius = CLUSTER_REL_RADIUS * (1.0 + np.maximum(mag[:, None], mag))
+    close = np.abs(points[:, None] - points) <= radius
+    parent = list(range(points.size))
 
     def find(i):
         while parent[i] != i:
@@ -243,15 +283,13 @@ def _cluster(points: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for a_pos, i in enumerate(order):
-        for j in order[a_pos + 1 :]:
-            r = CLUSTER_REL_RADIUS * (1.0 + max(abs(points[i]), abs(points[j])))
-            if abs(points[i] - points[j]) <= r:
-                parent[find(i)] = find(j)
+    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+        parent[find(int(i))] = find(int(j))
     groups: dict[int, list[int]] = {}
-    for i in range(len(points)):
+    for i in range(points.size):
         groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: (points[g[0]].real, points[g[0]].imag))
+    keys = points.tolist()
+    return sorted(groups.values(), key=lambda g: (keys[g[0]].real, keys[g[0]].imag))
 
 
 def _refine_multiple(poly: Polynomial, center: complex, mult: int) -> complex:
@@ -296,19 +334,23 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
         found.append((0.0 + 0.0j, origin_mult))
     sweeps = 0
     if coeffs.size > 1:
-        approx, sweeps = _aberth(coeffs / coeffs[-1], tol, max_iter)
-        deflated = Polynomial(coeffs)
+        c = coeffs / coeffs[-1]
+        if c.size == 2:
+            approx = -c[:1]
+        else:
+            approx, sweeps = _aberth(c, _starts(c), tol, max_iter)
         for group in _cluster(approx):
             mult = len(group)
-            center = complex(np.mean(approx[group]))
-            if mult > 1:
-                center = _refine_multiple(deflated, center, mult)
+            if mult == 1:
+                center = complex(approx[group[0]])
+            else:
+                center = _refine_multiple(Polynomial(coeffs), complex(np.mean(approx[group])), mult)
             found.append((center, mult))
     # |p(r)| <= 1e-8 * scale * (1 + |r|)**degree, compared in log space because
     # the bound overflows for large roots; a non-finite residual fails
     at = np.array([r for r, _ in found])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.abs(_horner_with_bound(poly.coeffs, at)[0])
+        values = np.abs(poly(at))
         log_allowed = np.log10(1e-8 * np.max(np.abs(poly.coeffs))) + poly.degree * np.log10(
             1.0 + np.abs(at)
         )

@@ -22,7 +22,15 @@ from qubitflow import (
     tensor,
     wronskian_matrix,
 )
-from qubitflow.polynomials import _newton_polygon_starts
+from qubitflow import polynomials
+from qubitflow.polynomials import (
+    ABERTH_MAX_ITER,
+    ABERTH_TOL,
+    CLUSTER_REL_RADIUS,
+    _aberth,
+    _cluster,
+    _newton_polygon_starts,
+)
 
 
 def test_arithmetic_basics():
@@ -164,22 +172,107 @@ def test_roots_match_numpy_oracle():
         for product in (True, False):
             for _ in range(4):
                 family_polys.append(_charge_numerator(charge_map(_random_state(rng, n, product))))
+    # either side of the cut between eigenvalue and Newton-polygon starts
+    family_polys.append(position_map(_random_state(rng, 5, False), make_position_config(5, 5)).numerator)
+    family_polys.append(_charge_numerator(charge_map(_random_state(rng, 4, False))))
+    assert [p.degree for p in family_polys[-2:]] == [50, 80]
     for p in random_polys + family_polys:
         rs = roots(p)
         assert rs.total_multiplicity() == p.degree
         assert rs.converged and rs.iterations <= 60
-        found = np.array([r for r, _ in rs.roots])
-        for r in np.roots(p.coeffs[::-1]):
-            assert np.min(np.abs(found - r)) <= 1e-8 * (1 + abs(r))
+        _assert_matches_numpy(rs, p)
         assert repr(roots(p)) == repr(rs)  # deterministic to the bit
 
 
+def _assert_matches_numpy(rs, p):
+    found = np.array([r for r, _ in rs.roots])
+    for r in np.roots(p.coeffs[::-1]):
+        assert np.min(np.abs(found - r)) <= 1e-8 * (1 + abs(r))
+
+
+def _failing_eigvals(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _nan_eigvals(a):
+    return np.full(len(a), np.nan + 0j)
+
+
+@pytest.mark.parametrize("eigvals", [_failing_eigvals, _nan_eigvals])
+def test_roots_fall_back_to_newton_polygon_starts(monkeypatch, eigvals):
+    p = position_map(_random_state(np.random.default_rng(8), 3, False), make_position_config(3)).numerator
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigvals", eigvals)
+        rs = roots(p)
+    _assert_matches_numpy(rs, p)
+    monkeypatch.setattr(polynomials, "EIGVALS_MAX_DEGREE", 0)
+    assert repr(roots(p)) == repr(rs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, starts",
+    [
+        ([-1.0, 0.5j, 0.0, 0.0, 1.0], [0.5, 0.5, -0.3j, 0.2 + 0.1j]),  # a coincident pair
+        ([1.0, -3.0, 0.0, 1.0], [1.0, 0.3j, -2.0]),  # p'(1) = 0
+    ],
+)
+def test_aberth_nudges_coincident_and_critical_starts_apart(coeffs, starts):
+    c = np.array(coeffs, dtype=complex)
+    z, _ = _aberth(c, np.array(starts, dtype=complex), ABERTH_TOL, ABERTH_MAX_ITER)
+    for r in np.roots(c[::-1]):
+        assert np.min(np.abs(z - r)) <= 1e-8 * (1 + abs(r))
+
+
 def test_roots_iteration_cap_raises():
-    state = _random_state(np.random.default_rng(3), 3, product=False)
-    numerator = position_map(state, make_position_config(3)).numerator
-    assert numerator.degree == 18
+    # above the eigenvalue-start cut, so the Newton-polygon starts need many sweeps
+    numerator = _charge_numerator(charge_map(_random_state(np.random.default_rng(3), 4, False)))
+    assert numerator.degree == 80
     with pytest.raises(RootFindingError, match="after 1 Aberth sweeps"):
         roots(numerator, max_iter=1)
+
+
+def _cluster_reference(points):
+    """The pairwise greedy union that ``_cluster`` replaced."""
+    points = points.tolist()
+    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a_pos, i in enumerate(order):
+        for j in order[a_pos + 1 :]:
+            r = CLUSTER_REL_RADIUS * (1.0 + max(abs(points[i]), abs(points[j])))
+            if abs(points[i] - points[j]) <= r:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: (points[g[0]].real, points[g[0]].imag))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_matches_the_pairwise_reference(seed):
+    rng = np.random.default_rng(seed)
+    points = list(rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12))
+    for _ in range(3):  # chains: each link within the radius, the ends far apart
+        start = complex(*rng.uniform(-1, 1, 2))
+        points += [start + k * 0.9 * CLUSTER_REL_RADIUS * (1 + abs(start)) for k in range(4)]
+    points += [points[0], points[0], points[5]]  # exact duplicates
+    points += [complex(-0.0, 0.0), complex(0.0, -0.0), 0j, complex(-0.0, 1.0), 1j]
+    # exactly at the radius from the origin, and one float past it
+    at = CLUSTER_REL_RADIUS * (1.0 + CLUSTER_REL_RADIUS / (1.0 - CLUSTER_REL_RADIUS))
+    past = np.nextafter(at, 1.0)
+    assert at == CLUSTER_REL_RADIUS * (1.0 + at) and past > CLUSTER_REL_RADIUS * (1.0 + past)
+    points += [complex(at, 0.0), complex(-0.0, -at), complex(-past, 0.0), complex(0.0, past)]
+    points = np.array([points[i] for i in rng.permutation(len(points))])
+    groups = _cluster(points)
+    assert groups == _cluster_reference(points)
+    assert sorted(len(g) for g in groups).count(4) == 3
+    assert [len(g) for g in groups if 0j in points[g]] == [5]
 
 
 def test_roots_large_root_without_overflow():

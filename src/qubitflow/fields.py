@@ -28,7 +28,7 @@ from types import MappingProxyType, SimpleNamespace
 import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, horner
 from .states import QubitState, bits_of_index, complex_from_pair
 
 RANK_RTOL = 1e-9
@@ -297,31 +297,34 @@ def map_state(state: QubitState, cfg: RepresentationConfig):
 def eval_many(fld, z) -> np.ndarray:
     """Field values at an array of points, shaped like ``z``.
 
-    Horner on the numerator, divided by the factored denominator.  A point
-    exactly on a pole raises ``PoleEvaluationError``; a non-finite value
-    anywhere else (overflow) raises ``QubitFlowError``.
+    The numerator's ``horner`` values over the factored denominator.  Where
+    such a value is non-finite and |z| > 1, the unit-disc rule gives it as
+    z**(deg - sum m) * rev(1/z) / prod (1 - a/z)**m, with ``rev`` the reversed
+    numerator; finite values keep their bits.  A point exactly on a pole
+    raises ``PoleEvaluationError``; a value still non-finite (overflow) raises
+    ``QubitFlowError``.
     """
     z = np.asarray(z, dtype=complex)
-    coeffs = fld.numerator.coeffs
     with np.errstate(all="ignore"):
-        # Horner in real arithmetic: numpy's complex multiply may fuse
-        # operations on some CPUs, so its roundoff would depend on the host
-        x, y = z.real, z.imag
-        re, im = np.full(z.shape, coeffs[-1].real), np.full(z.shape, coeffs[-1].imag)
-        for c in coeffs[-2::-1]:
-            re, im = re * x - im * y + c.real, re * y + im * x + c.imag
-        num = re + 1j * im
+        num = fld.numerator(z)
         den = np.ones_like(z)
         for a, m in fld.denominator_spec:
-            diff = z - a
-            if np.any(diff == 0):
+            if np.any(z == a):
                 raise PoleEvaluationError(a)
-            den = den * diff**m
-        val = num / den
+            den = den * (z - a) ** m
+        val = np.asarray(num / den)
+        big = ~np.isfinite(val) & (np.abs(z) > 1.0)
+        if big.any():
+            w, rev = 1.0 / z[big], fld.numerator.coeffs[::-1]
+            k = rev.size - 1 - sum(m for _, m in fld.denominator_spec)
+            far = horner(rev, w) * z[big] ** k
+            for a, m in fld.denominator_spec:
+                far = far / (1.0 - a * w) ** m
+            val[big] = far
     bad = ~np.isfinite(val)
     if bad.any():
         raise QubitFlowError(f"non-finite field value at z = {z[bad].flat[0]}")
-    return val
+    return val[()]
 
 
 def eval_field(fld, z: complex) -> tuple[complex, tuple[float, float]]:

@@ -119,16 +119,24 @@ class Polynomial:
         return Polynomial(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
     def __call__(self, z: complex) -> complex:
-        val = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
-            val = val * z + c
-        return val
+        """Value at ``z``, a point or an array, from the host-independent kernel ``horner``."""
+        return horner(self.coeffs, z)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and np.array_equal(self.coeffs, other.coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs.tolist()})"
+
+
+def horner(coeffs: np.ndarray, z):
+    """Values at ``z``, a point or an array, of the polynomial with ascending ``coeffs``."""
+    # each product's cross term is exactly zero, so a fused multiply-add rounds it the same
+    x, iy = z.real + 0j, 1j * z.imag
+    b = np.full(np.shape(z), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        b = b * x + b * iy + c
+    return b[()]
 
 
 def _horner_with_bound(coeffs: np.ndarray, z):
@@ -152,6 +160,8 @@ def _horner_with_bound(coeffs: np.ndarray, z):
 class RootSet:
     """All roots of a polynomial, clustered into (location, multiplicity) pairs.
 
+    ``residual`` is the largest |p(r)| over the roots; it is ``inf`` when some
+    |p(r)| exceeds the float range, and the check ran in log space.
     ``iterations`` is the number of Aberth sweeps used.  ``converged`` is True
     for every set ``roots`` returns: a sweep that reaches its cap raises
     ``RootFindingError`` instead.  Neither field is part of ``to_dict``.
@@ -320,7 +330,9 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     Deterministic for a given input.  Raises ``ValueError`` for the zero
     polynomial or a nonzero constant, and ``RootFindingError`` if roots are
     still moving after ``max_iter`` sweeps or any reported root fails the
-    backward-error residual check.
+    backward-error residual check.  The check takes |p(r)| from numpy's
+    ``polyval``; where that overflows and |r| > 1 it takes log10|p(r)| from
+    ``horner`` on the reversed polynomial at 1/r, the sweep's unit-disc rule.
     """
     if poly.degree < 1:
         raise ValueError("roots are undefined for a constant or zero polynomial")
@@ -347,18 +359,26 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
                 center = _refine_multiple(Polynomial(coeffs), complex(np.mean(approx[group])), mult)
             found.append((center, mult))
     # |p(r)| <= 1e-8 * scale * (1 + |r|)**degree, compared in log space because
-    # the bound overflows for large roots; a non-finite residual fails
+    # the bound overflows for large roots; a non-finite log fails
     at = np.array([r for r, _ in found])
+    rev = poly.coeffs[::-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.abs(poly(at))
+        values = np.abs(np.polyval(rev, at))
+        logs = np.log10(values)
+        far = ~np.isfinite(values) & (np.abs(at) > 1.0)
+        if far.any():
+            values[far] = np.inf
+            logs[far] = np.log10(np.abs(horner(rev, 1.0 / at[far])))
+            logs[far] += poly.degree * np.log10(np.abs(at[far]))
         log_allowed = np.log10(1e-8 * np.max(np.abs(poly.coeffs))) + poly.degree * np.log10(
             1.0 + np.abs(at)
         )
-        failed = ~(np.log10(values) <= log_allowed)
+        failed = ~(logs <= log_allowed)
     if failed.any():
         i = int(np.argmax(failed))
+        shown = f"10^{logs[i]:.1f}" if far[i] else f"{values[i]:.3e}"
         raise RootFindingError(
-            f"root {at[i]} has residual {values[i]:.3e} above bound 10^{log_allowed[i]:.1f}"
+            f"root {at[i]} has residual {shown} above bound 10^{log_allowed[i]:.1f}"
         )
     ordered = tuple(sorted(found, key=lambda rm: (rm[0].real, rm[0].imag)))
     return RootSet(roots=ordered, residual=float(values.max()), iterations=sweeps)

@@ -274,6 +274,17 @@ def test_sphere_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_render_charge_ghz5_on_a_wide_box(tmp_path):
+    # the origin-shifted numerator overflows at the corners of the box, the field does not
+    state, field, csv = tmp_path / "ghz5.json", tmp_path / "ghz5_charge.json", tmp_path / "ghz5.csv"
+    assert main(["state", "--name", "ghz", "--n", "5", "--out", str(state)]) == 0
+    assert main(["map", "--in", str(state), "--rep", "charge", "--out", str(field)]) == 0
+    argv = ["render", "--in", str(field), "--bbox=-20,20,-20,20", "--res", "8,8", "--csv", str(csv)]
+    assert main(argv) == 0
+    rows = [row.split(",") for row in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 64 and all(np.isfinite(float(t)) for row in rows for t in row)
+
+
 def test_parser_is_built_once_without_leaking_defaults(tmp_path, capsys):
     assert build_parser() is build_parser()
     charge, default = tmp_path / "charge.json", tmp_path / "default.json"

@@ -128,6 +128,17 @@ def test_eval_many_shapes_poles_and_overflow():
         eval_many(LaurentField({300: 1.0}), np.array([1.0, 1e3]))
 
 
+def test_eval_many_unit_disc_rule_where_the_shifted_numerator_overflows():
+    # numerator z**728 + 1 overflows beyond |z| = 2.65; the field value stays finite
+    f = LaurentField({364: 1.0, -364: 1.0})
+    z = np.array([2.9, -2.9j, 0.5, 1.0 + 1.0j])
+    vals = eval_many(f, z)
+    assert np.allclose(vals, direct_sum(f, z), rtol=1e-12, atol=0)
+    assert eval_field(f, 2.9)[0] == pytest.approx(2.0553e168, rel=1e-4)
+    # values that are finite without the rule keep their bits
+    assert np.array_equal(vals[2:], f.numerator(z[2:]) / z[2:] ** 364)
+
+
 def field_cases():
     rng = np.random.default_rng(21)
     out = charge_family(5)[::3]

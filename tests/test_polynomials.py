@@ -30,6 +30,7 @@ from qubitflow.polynomials import (
     _aberth,
     _cluster,
     _newton_polygon_starts,
+    horner,
 )
 
 
@@ -392,3 +393,97 @@ def test_roots_of_equal_modulus_sparse_numerator_converge():
     found = np.array([r for r, _ in rs.roots])
     for r in np.roots(numerator.coeffs[::-1]):
         assert np.min(np.abs(found - r)) <= 1e-12
+
+
+def _real_arithmetic_horner(coeffs, z):
+    # the reference: Horner in real arithmetic, real and imaginary parts kept apart
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    re, im = np.full(z.shape, coeffs[-1].real), np.full(z.shape, coeffs[-1].imag)
+    for c in coeffs[-2::-1]:
+        re, im = re * x - im * y + c.real, re * y + im * x + c.imag
+    return re + 1j * im
+
+
+def _bits(values):
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.int64)
+
+
+def _signed_zeros(rng, parts, share=0.3):
+    hit = rng.random(parts.shape) < share
+    parts[hit] = rng.choice([0.0, -0.0], hit.sum())
+
+
+def test_horner_matches_real_arithmetic_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for degree in (0, 1, 2, 7, 18, 26, 80):
+        coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        z = 2.0 * (rng.normal(size=(6, 7)) + 1j * rng.normal(size=(6, 7)))
+        assert np.array_equal(_bits(horner(coeffs, z)), _bits(_real_arithmetic_horner(coeffs, z)))
+        # points with +-0.0 real or imaginary parts
+        axes = z.copy()
+        _signed_zeros(rng, axes.real)
+        _signed_zeros(rng, axes.imag)
+        got = horner(coeffs, axes)
+        assert got.shape == (6, 7)
+        assert np.array_equal(_bits(got), _bits(_real_arithmetic_horner(coeffs, axes)))
+        # coefficients with -0.0 parts, at points with nonzero parts
+        signed = coeffs.copy()
+        _signed_zeros(rng, signed.real[:-1])
+        _signed_zeros(rng, signed.imag)
+        assert np.array_equal(_bits(horner(signed, z)), _bits(_real_arithmetic_horner(signed, z)))
+        # both at once: an exactly zero part may differ in sign, nothing else
+        got, want = horner(signed, axes), _real_arithmetic_horner(signed, axes)
+        assert np.array_equal(got, want)
+        differ = _bits(got) != _bits(want)
+        assert np.all(want.view(float)[differ] == 0.0)
+        # Python scalars give numpy scalars with the same bits
+        for point in (complex(z[0, 0]), complex(-0.0, 1.5), complex(2.5, -0.0), -0.0, 1.25, 3):
+            value = horner(coeffs, point)
+            assert type(value) is np.complex128
+            assert np.array_equal(_bits(value), _bits(_real_arithmetic_horner(coeffs, point)))
+        # Polynomial.__call__ is the kernel
+        assert np.array_equal(_bits(Polynomial(coeffs)(z)), _bits(horner(coeffs, z)))
+
+
+def _wrong_last_root(monkeypatch, at):
+    real_aberth = polynomials._aberth
+
+    def aberth(c, z, tol, max_iter):
+        approx, sweeps = real_aberth(c, z, tol, max_iter)
+        return np.concatenate([approx[:-1], [at]]), sweeps
+
+    monkeypatch.setattr(polynomials, "_aberth", aberth)
+
+
+def test_residual_check_messages_linear_and_log(monkeypatch):
+    _wrong_last_root(monkeypatch, 3.0)
+    with pytest.raises(RootFindingError, match=r"residual 1\.000e\+01 above bound 10\^-6\.8"):
+        roots(Polynomial([1.0, 0.0, 1.0]))  # z^2 + 1
+    # |p(1000)| for z^400 + 1 overflows, so the check runs on the reversal at 1/1000
+    _wrong_last_root(monkeypatch, 1000.0)
+    with pytest.raises(RootFindingError, match=r"residual 10\^1200\.0 above bound 10\^1192\.2"):
+        roots(Polynomial(np.eye(401)[0] + np.eye(401)[400]))
+
+
+def _skewed_product(seed, n):
+    rng = np.random.default_rng(seed)
+    amps = np.ones(1, dtype=complex)
+    for r in rng.uniform(-7.0, 7.0, size=n):
+        qubit = np.array([1.0, 10.0**r * np.exp(2j * np.pi * rng.random())])
+        amps = np.kron(amps, qubit / np.linalg.norm(qubit))
+    return QubitState(n, amps)
+
+
+def test_charge_n6_random_and_skewed_states_certify():
+    # at degree 728, |p(r)| overflows for roots beyond |r| = 2.65, so their residuals
+    # are checked in log space on the reversed polynomial
+    rng = np.random.default_rng(39)
+    states = [QubitState(6, rng.normal(size=64) + 1j * rng.normal(size=64))]
+    states += [_skewed_product(seed, 6) for seed in (2, 3)]
+    for st in states:
+        numerator = charge_map(st, 3).numerator
+        rs = roots(numerator)
+        assert rs.total_multiplicity() == numerator.degree >= 726
+        assert rs.residual == np.inf
+        assert max(abs(r) for r, _ in rs.roots) > 2.65

@@ -11,7 +11,9 @@ Separability has one definition, in state terms: psi is separable when some
 product state w has ||psi - lam w|| <= tau ||psi||, tau = ``FACTOR_SV_RTOL``.
 The SVD oracle takes w from rank-1 factors of psi; the halo check reads w off
 the halos and tests it on the state recovered from the numerator.  The halo
-tolerances only propose which zeros form a halo or sit on a center.
+tolerances only propose which zeros form a halo or sit on a center: each
+vertex of a trial polygon takes its nearest zero, and a trial that uses a zero
+beyond its multiplicity fails (where a greedy search takes a farther zero).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RationalField, RepresentationConfig, _basis, _poles, position_map
-from .polynomials import Polynomial, _horner_with_bound, roots
+from .polynomials import _EPS, Polynomial, roots
 from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
 CENTER_MATCH_RTOL = 1e-9
@@ -51,20 +53,18 @@ class DefectSet:
 
 
 def _deflate_center(coeffs: np.ndarray, center: complex) -> tuple[np.ndarray, int]:
-    """Divide out (z - center) while the remainder is at roundoff level."""
-    count = 0
-    while coeffs.size > 1:
-        val, _, bound = _horner_with_bound(coeffs, center)
-        if abs(val) > DEFLATION_GUARD * max(bound, 1e-300):
-            break
-        # synthetic division, discarding the negligible remainder
-        quot = np.empty(coeffs.size - 1, dtype=complex)
-        acc = 0.0 + 0.0j
-        for i in range(coeffs.size - 1, 0, -1):
-            acc = coeffs[i] + acc * center
-            quot[i - 1] = acc
-        coeffs = quot
-        count += 1
+    """Divide out (z - center) while p(center) is finite and at roundoff level; one synthetic
+    division gives the quotient, p(center) and its bound err = |b| + |center| err, times eps."""
+    count, az = 0, abs(center)
+    with np.errstate(all="ignore"):
+        while coeffs.size > 1:
+            acc, err, b = 0j, 0.0, np.empty(coeffs.size, dtype=complex)
+            for i in range(coeffs.size - 1, -1, -1):
+                acc = b[i] = coeffs[i] + acc * center
+                err = abs(acc) + az * err
+            if not abs(acc) <= DEFLATION_GUARD * max(err * _EPS, 1e-300) < np.inf:
+                break
+            coeffs, count = b[1:], count + 1
     return coeffs, count
 
 
@@ -82,7 +82,7 @@ def extract_defects(field) -> DefectSet:
     if field.is_zero():
         raise ValueError("the zero field has no defects")
     agg = _poles(field)
-    coeffs = field.numerator.coeffs.copy()
+    coeffs = field.numerator.coeffs
     center_mult: dict[complex, int] = {}
     for a in agg:
         coeffs, center_mult[a] = _deflate_center(coeffs, a)
@@ -147,46 +147,42 @@ class HaloReport:
 
 
 def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
-    """Try to claim one regular 2d-gon of zeros around ``center``.
+    """Find one regular 2d-gon of zeros around ``center``.
 
-    Every candidate zero seeds a trial: its value of (z - center)**(2d) fixes
-    an ideal polygon, and each ideal vertex is matched to the nearest
-    unclaimed zero within ``GROUP_RTOL``.  The first complete match is the
-    halo; whether it certifies a product is left to the state residual.
-    Ideal-vertex matching keeps coincident vertices of different halos and
-    multiple zeros on one spot from confusing the search.
+    Every candidate zero seeds a trial: its (z - center)**(2d) fixes an ideal
+    polygon of radius r, and each ideal vertex takes its nearest candidate,
+    the last one on a tie.  The first trial with every gap within
+    ``GROUP_RTOL * (1 + r)`` that uses no zero beyond its multiplicity is the
+    halo; the state residual decides whether it certifies a product.  Unlike
+    a greedy search that skips used zeros, this rejects a trial in which two
+    vertices share their nearest zero and tries the next seed; that needs
+    adjacent vertices within 2 tol, so r below about 1e-4 / sin(pi / 2d).
 
     Returns (site indices to consume, mean value, radius, phase) or None.
     """
     cand = [i for i, s in enumerate(sites) if s[1] >= 1 and i != skip]
+    # candidate locations, last first, so that argmin takes the last of a tie
+    locs = np.array([sites[i][0] for i in cand[::-1]], dtype=complex)
     for seed in cand:
         vs = (sites[seed][0] - center) ** (2 * d)
         if vs == 0:
             continue
         radius = abs(vs) ** (1.0 / (2 * d))
         base = np.angle(vs) / (2 * d)
-        tol = GROUP_RTOL * (1.0 + radius)
-        taken: dict[int, int] = {}
         chosen: list[int] = []
         for k in range(2 * d):
-            ideal = center + radius * np.exp(1j * (base + k * np.pi / d))
-            pick, dist = None, tol
-            for i in cand:
-                if sites[i][1] - taken.get(i, 0) < 1:
-                    continue
-                gap = abs(sites[i][0] - ideal)
-                if gap <= dist:
-                    pick, dist = i, gap
-            if pick is None:
+            gaps = np.abs(locs - (center + radius * np.exp(1j * (base + k * np.pi / d))))
+            j = int(gaps.argmin())
+            if gaps[j] > GROUP_RTOL * (1.0 + radius):
                 break
-            taken[pick] = taken.get(pick, 0) + 1
-            chosen.append(pick)
+            chosen.append(cand[-1 - j])
         else:
-            locs = [sites[i][0] for i in chosen]
-            w = np.array(locs, dtype=complex) - center
-            vbar = complex(np.mean([(z - center) ** (2 * d) for z in locs]))
-            phase = float(np.min(np.angle(w) % (2.0 * np.pi)))
-            return chosen, vbar, float(np.mean(np.abs(w))), phase
+            if all(chosen.count(i) <= sites[i][1] for i in chosen):
+                verts = [sites[i][0] for i in chosen]
+                w = np.array(verts, dtype=complex) - center
+                vbar = complex(np.mean([(z - center) ** (2 * d) for z in verts]))
+                phase = float(np.min(np.angle(w) % (2.0 * np.pi)))
+                return chosen, vbar, float(np.mean(np.abs(w))), phase
     return None
 
 
@@ -204,19 +200,16 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     centers = list(cfg.defects)
 
     remaining: dict[complex, int] = {a: d for a in centers}
-    for p, m in defect_set.poles:
-        a = _center_of(p, centers)
-        if a is None:
-            raise ValueError(f"pole at {p} is not a configured defect center")
-        remaining[a] -= m
-    for z, m in defect_set.zeros:
+    off_center: list[list] = []
+    for z, m in [(p, -m) for p, m in defect_set.poles] + sorted(defect_set.zeros, key=_plane_order):
         a = _center_of(z, centers)
         if a is not None:
             remaining[a] += m
-    sites: list[list] = [[a, remaining[a]] for a in centers]
-    for z, m in sorted(defect_set.zeros, key=_plane_order):
-        if _center_of(z, centers) is None:
-            sites.append([z, m])
+        elif m < 0:
+            raise ValueError(f"pole at {z} is not a configured defect center")
+        else:
+            off_center.append([z, m])
+    sites = [[a, remaining[a]] for a in centers] + off_center
 
     halos = []
     for j, a in enumerate(centers):
@@ -278,10 +271,11 @@ def field_separability(
     refined by one alternating-least-squares sweep, whose product w passes
     ||psi - lam w|| <= tau ||psi||.  Pairs are scaled as the halos are: beta
     real positive (alpha if the halo's beta is 0), larger modulus 1.
-    Recovery: psi = lam w + lstsq(M, N - lam M w), with M the basis
-    numerators as columns (cached per configuration), N the field's numerator
-    and lam the fit of M w to N; on a dependent basis this picks the state
-    with this field nearest w.
+    Recovery: psi = lam w + M^+ (N - lam M w), with M the basis numerators as
+    columns and M^+ its pseudo-inverse (both cached per configuration, rank
+    by ``RANK_RTOL``, as in the Gram fallback), N the field's numerator and
+    lam the fit of M w to N; on a dependent basis this picks the state with
+    this field nearest w.
     Miss: an empty witness (entangled) when a zero is left out of the halos,
     when N lies farther than tau ||N|| from the span of M, or when w fails.
     """
@@ -289,13 +283,13 @@ def field_separability(
         report = detect_halos(extract_defects(field), cfg)
     if not report.all_accounted():
         return False, ()
-    numer, basis = _basis(cfg).align(field), _basis(cfg).recovery.matrix
+    numer, rec = _basis(cfg).align(field), _basis(cfg).recovery
     start = [np.array([h.alpha, h.beta]) for h in report.halos]
     w = _kron(start)
-    mw = basis @ w
+    mw = rec.matrix @ w
     lam = np.vdot(mw, numer) / np.vdot(mw, mw)
-    psi = lam * w + np.linalg.lstsq(basis, numer - lam * mw, rcond=None)[0]
-    if np.linalg.norm(numer - basis @ psi) > FACTOR_SV_RTOL * np.linalg.norm(numer):
+    psi = lam * w + rec.pinv @ (numer - lam * mw)
+    if np.linalg.norm(numer - rec.matrix @ psi) > FACTOR_SV_RTOL * np.linalg.norm(numer):
         return False, ()
     factors = _als_sweep(psi, start)
     if not _is_product(psi, factors):

@@ -269,7 +269,7 @@ def charge_basis_fields(n: int, d: int) -> list[LaurentField]:
 
 def position_basis_fields(cfg: RepresentationConfig) -> list[RationalField]:
     if cfg.kind != "position":
-        raise ValueError("position_map needs a position configuration")
+        raise ValueError("position_basis_fields needs a position configuration")
     return list(_basis(cfg))
 
 

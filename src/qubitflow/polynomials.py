@@ -330,9 +330,9 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     Deterministic for a given input.  Raises ``ValueError`` for the zero
     polynomial or a nonzero constant, and ``RootFindingError`` if roots are
     still moving after ``max_iter`` sweeps or any reported root fails the
-    backward-error residual check.  The check takes |p(r)| from numpy's
-    ``polyval``; where that overflows and |r| > 1 it takes log10|p(r)| from
-    ``horner`` on the reversed polynomial at 1/r, the sweep's unit-disc rule.
+    backward-error residual check.  The check takes |p(r)| from ``horner``;
+    where that overflows and |r| > 1 it takes log10|p(r)| from ``horner`` on
+    the reversed polynomial at 1/r, the sweep's unit-disc rule.
     """
     if poly.degree < 1:
         raise ValueError("roots are undefined for a constant or zero polynomial")
@@ -361,14 +361,13 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     # |p(r)| <= 1e-8 * scale * (1 + |r|)**degree, compared in log space because
     # the bound overflows for large roots; a non-finite log fails
     at = np.array([r for r, _ in found])
-    rev = poly.coeffs[::-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = np.abs(np.polyval(rev, at))
+        values = np.abs(horner(poly.coeffs, at))
         logs = np.log10(values)
         far = ~np.isfinite(values) & (np.abs(at) > 1.0)
         if far.any():
             values[far] = np.inf
-            logs[far] = np.log10(np.abs(horner(rev, 1.0 / at[far])))
+            logs[far] = np.log10(np.abs(horner(poly.coeffs[::-1], 1.0 / at[far])))
             logs[far] += poly.degree * np.log10(np.abs(at[far]))
         log_allowed = np.log10(1e-8 * np.max(np.abs(poly.coeffs))) + poly.degree * np.log10(
             1.0 + np.abs(at)

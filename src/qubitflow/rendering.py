@@ -8,7 +8,8 @@ tangent field is U(p) = M(p) V(g(p)) with g the projection to the plane and
          [-x*y, -y*y + 1 - z],
          [x*(1 - z), y*(1 - z)]]
 
-which keeps U tangent to the sphere by construction.
+which keeps U tangent to the sphere by construction.  M is 1 - z times an
+isometry, the conformal factor of the projection, so |U| = (1 - z)|V|.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .defects import DefectSet, HaloReport
 from .fields import eval_many
+from .polynomials import horner
 
 POLE_KEEPOUT = 1e-9
 HALO_COLORS = ("red", "green", "blue", "brown")
@@ -313,7 +315,9 @@ def north_pole_classify(field) -> NorthPoleReport:
 
     The tangent magnitude scales as theta**(2 - D) with D the degree at
     infinity, so D < 2 vanishes, D = 2 stays bounded but direction-dependent,
-    and D > 2 diverges.  A small-theta power-law fit is reported alongside.
+    and D > 2 diverges.  A small-theta fit of log |U| = log(1 - z) + log |f(w)|
+    is reported alongside, with f(w) = w**D rev(1/w) / prod (1 - a/w)**m from
+    the reversed numerator ``rev``, in logs so that no sample overflows.
     """
     if field.is_zero():
         raise ValueError("the zero field has no degree")
@@ -325,7 +329,10 @@ def north_pole_classify(field) -> NorthPoleReport:
     else:
         category = "diverges"
     thetas = np.logspace(-3, -1, 25)
-    tangents = _pullback(field, thetas, np.full(thetas.size, 0.7))[3]
-    mags = np.maximum(np.hypot(np.hypot(tangents[:, 0], tangents[:, 1]), tangents[:, 2]), 1e-300)
-    slope = float(np.polyfit(np.log(thetas), np.log(mags), 1)[0])
+    st, zc = np.sin(thetas), np.cos(thetas)
+    w = st * np.cos(0.7) / (1.0 - zc) + 1j * (st * np.sin(0.7) / (1.0 - zc))  # at phi = 0.7
+    rev_abs = np.maximum(np.abs(horner(field.numerator.coeffs[::-1], 1.0 / w)), 1e-300)
+    den = sum(m * np.log(np.abs(1.0 - a / w)) for a, m in field.denominator_spec)
+    log_mags = np.log(1.0 - zc) + np.log(rev_abs) + degree * np.log(np.abs(w)) - den
+    slope = float(np.polyfit(np.log(thetas), log_mags, 1)[0])
     return NorthPoleReport(degree, category, slope)

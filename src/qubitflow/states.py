@@ -8,8 +8,7 @@ and ``amplitudes.reshape((2,)*n)`` puts qubit j on axis j-1.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -263,14 +263,19 @@ def test_map_rejects_non_finite_amplitudes(tmp_path, capsys):
 
 
 def test_sphere_overflow_is_a_numerical_failure(tmp_path, capsys):
-    for n, code in ((4, 0), (5, 3)):
+    # the north-pole fit works in logs: the uniform charge n=5 field (degree 121) classifies
+    for n, degree in ((4, 40), (5, 121)):
         state_path = tmp_path / f"uniform{n}.json"
         field_path = tmp_path / f"charge{n}.json"
         state_path.write_text(json.dumps(QubitState(n, np.full(2**n, 2 ** (-n / 2))).to_dict()))
         assert main(["map", "--in", str(state_path), "--rep", "charge", "--d", "3", "--out", str(field_path)]) == 0
         out = tmp_path / f"sphere{n}.json"
-        assert main(["sphere", "--in", str(field_path), "--res", "4,8", "--out", str(out)]) == code
-    assert json.loads((tmp_path / "sphere4.json").read_text())["north_pole"]["degree"] == 40
+        assert main(["sphere", "--in", str(field_path), "--res", "4,8", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["north_pole"]["degree"] == degree
+    # z**300 overflows on the default sample grid itself (|w| = cot(pi/48), about 15.3)
+    monomial = tmp_path / "z300.json"
+    monomial.write_text(json.dumps({"type": "laurent", "terms": [[300, [1.0, 0.0]]]}))
+    assert main(["sphere", "--in", str(monomial), "--out", str(tmp_path / "z300_sphere.json")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

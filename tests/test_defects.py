@@ -1,5 +1,7 @@
 """Defect extraction, halo geometry, and separability detection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from qubitflow import (
     qft,
     tensor,
 )
-from qubitflow.fields import LaurentField
+from qubitflow.cli import main
+from qubitflow.defects import GROUP_RTOL, _match_polygon
+from qubitflow.fields import LaurentField, RationalField
+from qubitflow.polynomials import Polynomial
 
 
 def random_state(rng, n):
@@ -90,6 +95,27 @@ def test_degree_balance():
         assert zeros - poles == d.infinity_charge == max(f.terms)
 
 
+def test_deflation_stops_where_the_value_overflows(tmp_path, capsys):
+    # z**400 + 1 over (z - 10): p(10) = 10**400 overflows, so 10 is no zero of it
+    numer = np.zeros(401, dtype=complex)
+    numer[[0, 400]] = 1.0
+    d = extract_defects(RationalField(Polynomial(numer), ((10 + 0j, 1),)))
+    assert len(d.zeros) == 400 and all(m == 1 for _, m in d.zeros)
+    assert max(abs(abs(z) - 1.0) for z, _ in d.zeros) <= 1e-9
+    assert d.poles == ((10 + 0j, 1),) and d.infinity_charge == 399
+    field = tmp_path / "field.json"
+    pairs = [[c.real, c.imag] for c in numer.tolist()]
+    field.write_text(json.dumps({"type": "rational", "numerator": pairs, "defects": [[10, 0]], "d": 1}))
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--in", str(field), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["defects"]["poles"] == [[10.0, 0.0, 1]]
+    # (z**2 + 1) / (z - 1e200): only the last Horner step overflows, to inf + 0j
+    d = extract_defects(RationalField(Polynomial([1, 0, 1]), ((1e200 + 0j, 1),)))
+    assert [m for _, m in d.zeros] == [1, 1] and max(abs(abs(z) - 1.0) for z, _ in d.zeros) <= 1e-9
+    assert d.poles == ((1e200 + 0j, 1),)
+
+
 def test_extract_zero_field_raises():
     with pytest.raises(ValueError):
         extract_defects(LaurentField({}))
@@ -154,6 +180,113 @@ def test_halos_need_position_config():
     d = extract_defects(charge_map(make_basis_state(2, "01")))
     with pytest.raises(ValueError):
         detect_halos(d, cfg)
+
+
+def _greedy_match_polygon(center, sites, skip, d):
+    """The greedy halo search, kept as the reference for ``_match_polygon``.
+
+    Each ideal vertex of a trial takes the nearest zero within the tolerance
+    that the trial's earlier vertices have not used up.
+    """
+    cand = [i for i, s in enumerate(sites) if s[1] >= 1 and i != skip]
+    for seed in cand:
+        vs = (sites[seed][0] - center) ** (2 * d)
+        if vs == 0:
+            continue
+        radius = abs(vs) ** (1.0 / (2 * d))
+        base = np.angle(vs) / (2 * d)
+        tol = GROUP_RTOL * (1.0 + radius)
+        taken: dict[int, int] = {}
+        chosen: list[int] = []
+        for k in range(2 * d):
+            ideal = center + radius * np.exp(1j * (base + k * np.pi / d))
+            pick, dist = None, tol
+            for i in cand:
+                if sites[i][1] - taken.get(i, 0) < 1:
+                    continue
+                gap = abs(sites[i][0] - ideal)
+                if gap <= dist:
+                    pick, dist = i, gap
+            if pick is None:
+                break
+            taken[pick] = taken.get(pick, 0) + 1
+            chosen.append(pick)
+        else:
+            locs = [sites[i][0] for i in chosen]
+            w = np.array(locs, dtype=complex) - center
+            vbar = complex(np.mean([(z - center) ** (2 * d) for z in locs]))
+            phase = float(np.min(np.angle(w) % (2.0 * np.pi)))
+            return chosen, vbar, float(np.mean(np.abs(w))), phase
+    return None
+
+
+def _polygon(rng, center, vertex, d, noise):
+    """The regular 2d-gon around ``center`` through ``vertex``, the other vertices moved by <= noise."""
+    verts = center + (vertex - center) * np.exp(1j * np.pi * np.arange(2 * d) / d)
+    verts[0] = vertex
+    verts[1:] += noise * rng.uniform(size=2 * d - 1) * np.exp(2j * np.pi * rng.uniform(size=2 * d - 1))
+    return verts.tolist()
+
+
+def _site_set(rng):
+    """Centers, sites (as ``detect_halos`` builds them), d and the number of planted halos.
+
+    Each center gets a regular 2d-gon (radius 1e-3..10, noise <= 1e-6 r), a
+    2d-fold zero or nothing, and fewer than 2d further zeros on itself.  In
+    half the sets the second polygon passes through a vertex of the first,
+    held as one site of multiplicity 2.  Up to five distractor zeros are
+    scattered around.
+    """
+    d, n = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+    centers = (3 * rng.normal(size=n) + 3j * rng.normal(size=n)).tolist()
+    vertices = [a + 10 ** rng.uniform(-3, 1) * np.exp(2j * np.pi * rng.uniform()) for a in centers]
+    kinds = rng.choice(["polygon", "polygon", "collapsed", "none"], size=n)
+    if rng.uniform() < 0.5:
+        vertices[1], kinds[:2] = vertices[0], "polygon"
+    off: dict[complex, int] = {}
+    for a, v, kind in zip(centers, vertices, kinds):
+        if kind == "polygon":
+            for z in _polygon(rng, a, v, d, 1e-6 * abs(v - a)):
+                off[z] = off.get(z, 0) + 1
+    for _ in range(int(rng.integers(0, 6))):
+        off[complex(4 * rng.normal() + 4j * rng.normal())] = int(rng.integers(1, 3))
+    counts = rng.integers(0, 2 * d, size=n) + 2 * d * (kinds == "collapsed")
+    sites = [[a, int(k)] for a, k in zip(centers, counts)]
+    sites += [[z, m] for z, m in sorted(off.items(), key=lambda zm: (zm[0].real, zm[0].imag))]
+    return centers, sites, d, int(np.sum(kinds == "polygon"))
+
+
+def test_match_polygon_agrees_with_the_greedy_reference():
+    rng = np.random.default_rng(2024)
+    found = planted = 0
+    for _ in range(300):
+        centers, sites, d, count = _site_set(rng)
+        planted += count
+        for j, a in enumerate(centers):
+            if sites[j][1] >= 2 * d:
+                sites[j][1] -= 2 * d
+                continue
+            want = _greedy_match_polygon(a, sites, j, d)
+            assert _match_polygon(a, sites, j, d) == want
+            if want is not None:
+                found += 1
+                for i in want[0]:
+                    sites[i][1] -= 1
+    assert found == planted
+    # an exact tie: the ideal vertex exp(i pi) lies as far from -1 - 2**-17 as from -1 + 2**-17
+    sites = [[0j, 0], [1 + 0j, 1], [-1 - 2**-17 + 0j, 1], [-1 + 2**-17 + 0j, 1]]
+    assert _match_polygon(0j, sites, 0, 1) == _greedy_match_polygon(0j, sites, 0, 1)
+    assert _match_polygon(0j, sites, 0, 1)[0] == [1, 3]
+
+
+def test_match_polygon_below_the_radius_bound_tries_the_next_seed():
+    # radius 1e-5: both vertices of seed a's 2-gon have a as their nearest zero, so
+    # greedy completes it with b, and the nearest-vertex rule moves on to seed b
+    a, b, c = 1e-5 + 0j, -1e-5 + 3e-5j, 1e-5 - 2.5e-5j
+    sites = [[0j, 0], [a, 1], [b, 1], [c, 1]]
+    assert _greedy_match_polygon(0j, sites, 0, 1)[0] == [1, 2]
+    chosen, _, radius, _ = _match_polygon(0j, sites, 0, 1)
+    assert sorted(chosen) == [2, 3] and radius == pytest.approx((abs(b) + abs(c)) / 2)
 
 
 def test_separability_detects_products_and_entanglement():

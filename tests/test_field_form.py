@@ -33,7 +33,7 @@ from qubitflow import (
     sphere_tangent,
     stereographic_project,
 )
-from qubitflow.rendering import POLE_KEEPOUT
+from qubitflow.rendering import POLE_KEEPOUT, _pullback
 
 
 def random_state(rng, n):
@@ -185,6 +185,16 @@ def test_stereographic_project_is_sphere_tangent_per_sample():
             assert all(abs(a - b) <= 1e-14 * scale for a, b in zip(one.tangent, s.tangent))
 
 
+def test_north_pole_fit_matches_the_pulled_back_tangents():
+    # where f stays finite, the fit in logs equals the fit of |U| from the pullback itself
+    thetas = np.logspace(-3, -1, 25)
+    for f in field_cases():
+        tangents = _pullback(f, thetas, np.full(thetas.size, 0.7))[3]
+        mags = np.hypot(np.hypot(tangents[:, 0], tangents[:, 1]), tangents[:, 2])
+        want = np.polyfit(np.log(thetas), np.log(mags), 1)[0]
+        assert abs(north_pole_classify(f).fitted_exponent - want) < 1e-9
+
+
 def test_north_pole_degree_from_the_shared_form():
     for f in field_cases():
         report = north_pole_classify(f)
@@ -195,6 +205,7 @@ def test_north_pole_degree_from_the_shared_form():
     report = north_pole_classify(charge_map(uniform, 3))
     assert report.degree == 40 and report.category == "diverges"
     assert abs(report.fitted_exponent - (2 - 40)) < 0.1
-    # at n=5 (degree 242) the small-theta samples overflow: a numerical failure
-    with pytest.raises(QubitFlowError, match="non-finite"):
-        north_pole_classify(charge_map(QubitState(5, np.full(32, 32**-0.5)), 3))
+    # at n=5 f overflows at the small-theta samples (|w| ~ 2000), its logarithm does not
+    report = north_pole_classify(charge_map(QubitState(5, np.full(32, 32**-0.5)), 3))
+    assert report.degree == 121 and report.category == "diverges"
+    assert abs(report.fitted_exponent - (2 - 121)) < 0.1

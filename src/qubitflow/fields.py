@@ -28,7 +28,7 @@ from types import MappingProxyType, SimpleNamespace
 import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
-from .polynomials import Polynomial, horner
+from .polynomials import Polynomial, _clears_trim, _trimmed_size, horner
 from .states import QubitState, bits_of_index, complex_from_pair
 
 RANK_RTOL = 1e-9
@@ -211,16 +211,40 @@ def charge_map(state: QubitState, d: int = DEFAULT_CHARGE_D) -> LaurentField:
 
 
 def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
-    """Numerator sum_sigma lambda_sigma prod_j (z - a_j)**(2*sigma_j*d)."""
+    """Numerator sum_sigma lambda_sigma prod_j (z - a_j)**(2*sigma_j*d).
+
+    The nonzero terms lambda_sigma * (cached basis row sigma) are added in
+    index order into one array, and each term and each partial sum is
+    trimmed by ``Polynomial``'s rule, so the coefficients are bit for bit
+    those of adding ``Polynomial`` terms.  Past the partial sum's length the
+    array holds -0.0, IEEE's additive identity, so a longer term comes in
+    unchanged.  A bound from |lambda| * max|row| settles most trim tests
+    without a scan of the array.
+    """
     if cfg.kind != "position":
         raise ValueError("position_map needs a position configuration")
     if cfg.n != state.n:
         raise ValueError(f"configuration is for {cfg.n} qubits, state has {state.n}")
-    total = Polynomial([0.0])
-    for amp, fld in zip(state.amplitudes, _basis(cfg)):
-        if amp != 0:
-            total = total + fld.numerator.scale(amp)
-    return RationalField(total, tuple((a, cfg.d) for a in cfg.defects))
+    basis = _basis(cfg)
+    total = np.full(basis.rows.shape[1], complex(-0.0, -0.0))
+    total[0], size, bound = 0j, 1, 0.0  # the sum starts as Polynomial([0.0])
+    weights = (np.abs(state.amplitudes) * basis.row_scales).tolist()  # max |term coefficient|
+    for amp, weight, fld, row in zip(state.amplitudes.tolist(), weights, basis, basis.rows):
+        if amp == 0:
+            continue
+        term, bound = row[: fld.numerator.coeffs.size] * amp, bound + weight
+        if not _clears_trim(term[-1], weight):
+            term = Polynomial(term).coeffs  # trimmed as Polynomial.scale trims it
+        total[: term.size] += term
+        width = max(size, term.size)
+        if _clears_trim(total[width - 1], bound):
+            size = width
+            continue
+        size = _trimmed_size(total[:width])
+        total[size:width] = complex(-0.0, -0.0)
+        if size == 0:
+            total[0], size = 0j, 1
+    return RationalField(Polynomial(total[:size]), tuple((a, cfg.d) for a in cfg.defects))
 
 
 def _basis(cfg: RepresentationConfig) -> "_Basis":
@@ -230,17 +254,28 @@ def _basis(cfg: RepresentationConfig) -> "_Basis":
 
 
 class _Basis(tuple):
-    """Fields in index order.  ``recovery``, built once, holds M (their numerators over the common
-    denominator, as columns) and, from one SVD, its pinv, condition and rank."""
+    """Fields in index order.  ``rows``, built once, holds their numerators over the common
+    denominator as zero-padded rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv,
+    condition and rank."""
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        rows = _numerator_rows(self)
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def row_scales(self) -> np.ndarray:
+        """max |coefficient| of each row."""
+        return np.abs(self.rows).max(axis=1)
 
     @cached_property
     def recovery(self) -> SimpleNamespace:
-        m = _numerator_rows(self).T
+        m = self.rows.T
         u, s, vh = np.linalg.svd(m, full_matrices=False)
         rank = int(np.sum(s > RANK_RTOL * s[0]))
         pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
-        for a in (m, pinv):
-            a.setflags(write=False)
+        pinv.setflags(write=False)
         cond = float(s[0] / s[-1]) if rank == m.shape[1] else np.inf
         return SimpleNamespace(matrix=m, pinv=pinv, condition=cond, rank=rank)
 

@@ -26,8 +26,10 @@ cluster center of multiplicity m is refined by Newton's method on the
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,14 +63,8 @@ class Polynomial:
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        scale = float(np.abs(c).max()) if c.size else 0.0
-        if not math.isfinite(scale):
-            raise ValueError(f"non-finite polynomial coefficient {c[~np.isfinite(c)][0]}")
-        if scale > 0.0:
-            keep = np.nonzero(np.abs(c) > TRIM_REL_TOL * scale)[0]
-            c = c[: keep[-1] + 1].copy() if keep.size else np.zeros(1, dtype=complex)
-        else:
-            c = np.zeros(1, dtype=complex)
+        size = _trimmed_size(c)
+        c = c[:size].copy() if size else np.zeros(1, dtype=complex)
         c.setflags(write=False)
         self.coeffs = c
 
@@ -127,6 +123,35 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs.tolist()})"
+
+
+def _trimmed_size(c: np.ndarray) -> int:
+    """Length of ``c`` without its trailing coefficients below ``TRIM_REL_TOL * max|c|``.
+
+    0 when every coefficient is zero.  A non-finite coefficient, or one whose
+    modulus overflows, raises ``ValueError``.
+    """
+    mags = np.abs(c)
+    scale = float(mags.max()) if c.size else 0.0
+    if not math.isfinite(scale):
+        if not np.isfinite(c).all():
+            raise ValueError(f"non-finite polynomial coefficient {c[~np.isfinite(c)][0]}")
+        raise ValueError(f"polynomial coefficient {c[~np.isfinite(mags)][0]} overflows in modulus")
+    if scale == 0.0:
+        return 0
+    if mags[-1] > TRIM_REL_TOL * scale:  # the usual case: nothing to trim
+        return c.size
+    return int(np.flatnonzero(mags > TRIM_REL_TOL * scale)[-1]) + 1
+
+
+def _clears_trim(top: complex, bound: float) -> bool:
+    """Whether ``_trimmed_size`` keeps the last coefficient ``top`` of a sum of scaled rows.
+
+    ``bound`` is the sum of |scale| * max|row| over the sum's terms.  The
+    margins cover the roundoff of the products and the sums, subnormal ones
+    included, so True is certain; on False, ``_trimmed_size`` decides.
+    """
+    return abs(top) > TRIM_REL_TOL * (bound * (1 + 1e-9) + 1e-300)
 
 
 def horner(coeffs: np.ndarray, z):
@@ -390,9 +415,11 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
     alpha come from one Horner pass of repeated synthetic division, and are
     multiplied by the binomial series of every denominator factor,
     (alpha + h - a)**-m = sum_j C(m+j-1, j) (-h)**j (alpha - a)**(-m-j),
-    truncated at ``max_order``.
+    truncated at ``max_order``.  A non-finite alpha raises ``ValueError``.
     """
     alphac = complex(alpha)
+    if not cmath.isfinite(alphac):
+        raise ValueError(f"probe point {alphac} is not finite")
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     # shifted[1 + j] holds the Taylor coefficient of order j, shifted[0] the
@@ -402,14 +429,34 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
         shifted[0] = c
         shifted[1:] = shifted[1:] * alphac + shifted[:-1]
     series = shifted[1:]
-    j = np.arange(1.0, max_order + 1)
     for a, m in field.denominator_spec:
         gap = alphac - a
         if gap == 0:
             raise PoleEvaluationError(a)
-        factor = np.cumprod(np.concatenate(([gap**-m], (1.0 - m - j) / (j * gap))))
-        series = np.convolve(series, factor)[: max_order + 1]
-    return series * np.cumprod(np.concatenate(([1.0], j)))
+        series = np.convolve(series, _pole_series(np.complex128(gap).tobytes(), m, max_order))
+        series = series[: max_order + 1]
+    return series * _factorials(max_order)
+
+
+@lru_cache(maxsize=256)
+def _pole_series(gap_key: bytes, m: int, max_order: int) -> np.ndarray:
+    """Taylor coefficients of (gap + h)**-m up to h**max_order, read-only.
+
+    Keyed by the gap's bytes, so gaps of +0.0 and -0.0 parts keep their own entries.
+    """
+    gap = complex(np.frombuffer(gap_key, dtype=complex)[0])
+    j = np.arange(1.0, max_order + 1)
+    factor = np.cumprod(np.concatenate(([gap**-m], (1.0 - m - j) / (j * gap))))
+    factor.setflags(write=False)
+    return factor
+
+
+@lru_cache(maxsize=64)
+def _factorials(max_order: int) -> np.ndarray:
+    """[0!, 1!, ..., max_order!] as floats, read-only."""
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, max_order + 1))))
+    fact.setflags(write=False)
+    return fact
 
 
 def wronskian_matrix(fields, alpha: complex, order: int | None = None) -> np.ndarray:

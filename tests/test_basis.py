@@ -24,6 +24,7 @@ from qubitflow import (
     fields,
     make_basis_state,
     make_charge_config,
+    make_named_state,
     make_position_config,
     position_basis_fields,
     position_map,
@@ -242,3 +243,109 @@ def test_cli_rejects_a_non_finite_center(tmp_path, capsys, command):
     assert main(argv[command] + ["--defects", "nan", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: defect center (nan+0j) is not finite")
+
+
+# ---- position_map adds scaled basis rows in place; the reference adds Polynomial terms
+
+
+def trimmed_partial_sums(state, cfg):
+    """Indices of the reference's partial sums that lose trailing coefficients to trimming."""
+    total, trimmed = Polynomial([0.0]), []
+    for idx, (amp, fld) in enumerate(zip(state.amplitudes, basis_fields(cfg))):
+        if amp == 0:
+            continue
+        term = fld.numerator.scale(amp).coeffs
+        raw = np.zeros(max(total.coeffs.size, term.size), dtype=complex)
+        raw[: total.coeffs.size] += total.coeffs
+        raw[: term.size] += term
+        total = Polynomial(raw)
+        if total.coeffs.size < raw.size:
+            trimmed.append(idx)
+    return trimmed
+
+
+def assert_maps_like_the_reference(state, cfg):
+    got, want = position_map(state, cfg), reference_position_map(state, cfg)
+    assert field_bits(got) == field_bits(want)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+
+def test_a_qft_frame_whose_partial_sum_trims():
+    # the third partial sum of QFT|100> cancels at the top, so its length drops before the
+    # next term is added; one trim at the end would keep that cancelled coefficient
+    cfg, state = make_position_config(3), qft(make_basis_state(3, "100"))
+    assert trimmed_partial_sums(state, cfg) == [2]
+    assert_maps_like_the_reference(state, cfg)
+
+
+def test_a_skewed_product_trims_its_last_sum():
+    q = np.array([1.0, 1e-5])
+    state, cfg = QubitState(3, np.kron(np.kron(q, q), q)), make_position_config(3)
+    assert trimmed_partial_sums(state, cfg) == [7]
+    assert_maps_like_the_reference(state, cfg)
+    assert position_map(state, cfg).numerator.degree == 16
+
+
+def test_a_term_near_the_trim_bound_is_trimmed_before_it_is_added():
+    # centers near 1e7 put the basis numerators' last kept coefficient within roundoff of
+    # the trim bound, so scaling a row can trim it: Polynomial.scale does so before adding
+    a = 9999999.999999987
+    cfg = RepresentationConfig("position", 2, 1, (complex(a, 1e-3), complex(-a, 0.5)))
+    amps = np.array([4.029 - 7.374j, -126.875 + 423.526j, -92.807 - 68.538j, 0.694 - 0.528j])
+    rows = [f.numerator for f in basis_fields(cfg)]
+    assert [r.scale(x).coeffs.size < r.coeffs.size for r, x in zip(rows, amps)] == [False, True, False, False]
+    assert_maps_like_the_reference(QubitState(2, amps), cfg)
+
+
+@pytest.mark.parametrize("defects", [None, (complex(-0.0, -1.0), complex(1.0, -0.0))])
+def test_bell01_minus_cancels_its_top_coefficients_exactly(defects):
+    cfg, state = make_position_config(2, 1, defects), make_named_state("bell01-", 2)
+    assert trimmed_partial_sums(state, cfg) == [2]
+    assert_maps_like_the_reference(state, cfg)
+
+
+def test_signed_zero_parts_of_amplitudes_and_centers():
+    rng = np.random.default_rng(17)
+    cfgs = [make_position_config(2, 2, (complex(-0.0, 0.0), complex(1.0, -0.0))),
+            make_position_config(3, 1, (complex(0.0, -0.0), complex(-0.0, 1.0), complex(-1.0, -0.0)))]
+    for cfg in cfgs:
+        for _ in range(20):
+            x = np.round(rng.normal(size=2**cfg.n), 1)
+            parts = rng.integers(0, 4, size=2**cfg.n)
+            amps = [complex(-0.0 if p & 1 else v, -0.0 if p & 2 else v) for v, p in zip(x, parts)]
+            assert_maps_like_the_reference(QubitState(cfg.n, np.array(amps)), cfg)
+    # the zero numerator comes out as +0.0, as Polynomial([0.0]) starts
+    got = position_map(QubitState(1, np.array([complex(-0.0, -0.0)] * 2)), make_position_config(1))
+    assert bits(got.numerator.coeffs) == bits([0j])
+
+
+def test_a_partial_sum_that_cancels_to_zero_restarts_at_plus_zero():
+    # subnormal terms round to the same coefficients, so |01> and |10> cancel exactly; the
+    # zero sum is Polynomial([0.0]), so the |11> term's -0.0 constant is added to +0.0
+    tiny = 5e-324
+    cfg, state = make_position_config(2, 1, (0.1 + 0j, 0.2 + 0j)), QubitState(2, np.array([0, tiny, -tiny, -tiny]))
+    assert trimmed_partial_sums(state, cfg) == [2]
+    assert_maps_like_the_reference(state, cfg)
+    assert bits(position_map(state, cfg).numerator.coeffs[:1]) == bits([0j])
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ([[1e308, 0.0], [1e308, 0.0]], r"non-finite polynomial coefficient"),
+        ([[1.5e308, 1.5e308], [0.0, 0.0]], r"polynomial coefficient .* overflows in modulus"),
+    ],
+)
+def test_an_overflowing_amplitude_is_rejected(tmp_path, capsys, amplitudes, message):
+    state = QubitState.from_dict({"n": 1, "amplitudes": amplitudes})
+    cfg = make_position_config(1, 1, (1 + 1j,))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(state.to_dict()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message) as got:
+            position_map(state, cfg)
+        with pytest.raises(ValueError) as want:
+            reference_position_map(state, cfg)
+        assert main(["map", "--in", str(path), "--defects", "1+1j"]) == 2
+    assert str(got.value) == str(want.value)
+    assert capsys.readouterr().err.startswith(f"error: {got.value}")

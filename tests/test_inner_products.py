@@ -1,5 +1,7 @@
 """Gram-matrix inner product and the unit-circle quadrature pairing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,15 @@ def test_gram_reproduces_amplitude_overlaps(cfg):
         a, b = random_state(rng, cfg.n), random_state(rng, cfg.n)
         got = inner(map_state(a, cfg), map_state(b, cfg), ctx)
         assert abs(got - np.vdot(a.amplitudes, b.amplitudes)) < 1e-9
+
+
+def test_gram_functional_rejects_a_non_finite_probe_point():
+    cfg = make_position_config(2)
+    ctx = build_gram(cfg)
+    field = position_map(random_state(np.random.default_rng(4), 2), cfg)
+    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="probe point .* is not finite"):
+            dataclasses.replace(ctx, alpha=alpha).pi(field)
 
 
 def test_gram_context_serializes():

@@ -6,7 +6,7 @@ class QubitFlowError(Exception):
 
 
 class PoleEvaluationError(QubitFlowError):
-    """Raised when a field is evaluated exactly at one of its poles."""
+    """Raised when a field is evaluated exactly at a pole, or where a pole factor overflows."""
 
     def __init__(self, pole: complex, message: str | None = None):
         self.pole = pole

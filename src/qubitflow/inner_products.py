@@ -14,15 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError
-from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows
-from .polynomials import derivative_eval, wronskian_matrix
+from .errors import ConditioningError, PoleEvaluationError
+from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows, _poles
+from .polynomials import _factorials, derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
 CONDITION_TIE_RTOL = 1e-9
 PROBE_RADII = (0.3, 0.7, 1.7, 2.9)
 PROBE_ANGLES = 16
 PROBE_KEEPOUT = 1e-3
+_PROBE_WINDOW_RTOL = 1e-3  # batched cond within this of the batched minimum is re-taken exactly
 
 
 @dataclass(frozen=True)
@@ -63,33 +64,100 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     Candidates on four circles are scanned in a fixed order, and the first
     whose 2-norm condition number is within CONDITION_TIE_RTOL of the
     smallest wins, so exact ties (every angle on a circle, for charge bases)
-    do not hang on roundoff.  Above CONDITION_LIMIT the probe is numerically
-    useless, and amplitude recovery (alpha None, condition cond M) serves
-    instead; ConditioningError reports the best probe when M fails too.
+    do not hang on roundoff.  One batched pass over every candidate selects
+    those within _PROBE_WINDOW_RTOL of its smallest condition number, and
+    ``wronskian_matrix`` re-takes them, so the rule reads exact values only.
+    Above CONDITION_LIMIT the probe is numerically useless, and amplitude
+    recovery (alpha None, condition cond M) serves instead; where M fails
+    too, the exact scan of every candidate reports the best probe in a
+    ConditioningError.
     """
     fields = _basis(cfg)
-    keepout = {a for f in fields for a, _ in f.denominator_spec}
-    scanned = []
-    for r in PROBE_RADII:
-        for k in range(PROBE_ANGLES):
-            alpha = r * np.exp(2j * np.pi * k / PROBE_ANGLES)
-            if min(abs(alpha - p) for p in keepout) < PROBE_KEEPOUT:
-                continue
-            b = wronskian_matrix(fields, alpha)
-            cond = float(np.linalg.cond(b))
-            if np.isfinite(cond):
-                scanned.append((cond, complex(alpha), b))
-    tie = min((item[0] for item in scanned), default=np.inf) * (1.0 + CONDITION_TIE_RTOL)
-    cond, alpha, b = next((item for item in scanned if item[0] <= tie), (np.inf, None, None))
+    alphas = _probe_points(fields)
+    conds = _batched_conditions(fields, alphas)
+    best = conds.min(initial=np.inf)
+    near = alphas[conds <= best * (1.0 + _PROBE_WINDOW_RTOL)] if best <= CONDITION_LIMIT else ()
+    cond, alpha, b = _first_best(fields, near)
     if cond > CONDITION_LIMIT:
         rec = fields.recovery
-        if rec.condition > CONDITION_LIMIT:
-            raise ConditioningError(alpha, cond)
-        cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
+        if rec.condition <= CONDITION_LIMIT:
+            cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
+        else:
+            cond, alpha, b = _first_best(fields, alphas)
+            if cond > CONDITION_LIMIT:
+                raise ConditioningError(alpha, cond)
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)
     return GramContext(cfg, alpha, b, weight, cond)
+
+
+def _probe_points(fields) -> np.ndarray:
+    """The candidates in scan order, less those within PROBE_KEEPOUT of a pole."""
+    circle = [np.exp(2j * np.pi * k / PROBE_ANGLES) for k in range(PROBE_ANGLES)]
+    alphas = np.array([r * u for r in PROBE_RADII for u in circle])
+    # basis field 0 has the deepest poles: every center in position, z**-K in charge
+    poles = np.array(list(_poles(fields[0])), dtype=complex)
+    return alphas[np.abs(alphas[:, None] - poles).min(axis=1) >= PROBE_KEEPOUT]
+
+
+def _batched_conditions(fields, alphas: np.ndarray) -> np.ndarray:
+    """cond B(alpha) at every probe from one pass, inf where B is not finite.
+
+    The basis numerators over their common denominator have the Taylor
+    coefficients sum_i C(i, k) alpha**(i - k) c_i at alpha, summed over their
+    nonzero columns only; each center's pole series then multiplies them as a
+    lower-triangular Toeplitz matrix per probe.  The values agree with
+    ``wronskian_matrix`` to roundoff, not to the bit, so they only select.
+    """
+    order = len(fields)
+    cols = np.flatnonzero(fields.rows.any(axis=0))
+    t = np.arange(1, order)
+    binom = np.cumprod(np.column_stack([np.ones(cols.size), (cols[:, None] - t + 1) / t]), axis=1)
+    j = np.arange(1.0, order)
+    lag = np.arange(order)[:, None] - np.arange(order)
+    with np.errstate(all="ignore"):
+        rising = np.broadcast_to(alphas[:, None], (alphas.size, cols[-1]))
+        powers = np.cumprod(np.column_stack([np.ones(alphas.size), rising]), axis=1)
+        vand = binom * powers[:, np.maximum(cols[:, None] - np.arange(order), 0)]
+        stack = vand.transpose(0, 2, 1) @ fields.rows[:, cols].T
+        for a, m in _poles(fields[0]).items():
+            gap = alphas[:, None] - a
+            pole = np.cumprod(np.column_stack([gap**-m, (1.0 - m - j) / (j * gap)]), axis=1)
+            stack = np.where(lag >= 0, pole[:, np.maximum(lag, 0)], 0) @ stack
+        stack *= _factorials(order - 1)[:, None]
+        finite = _lapack_safe(stack)
+    conds = np.full(alphas.size, np.inf)
+    if finite.any():
+        conds[finite] = np.linalg.cond(stack[finite])
+    return conds
+
+
+def _first_best(fields, alphas) -> tuple[float, complex | None, np.ndarray | None]:
+    """(cond, alpha, B) of the first probe within CONDITION_TIE_RTOL of the smallest cond.
+
+    Each B comes from ``wronskian_matrix``; a probe where a pole factor
+    overflows or B is not finite is skipped.  (inf, None, None) if none is left.
+    """
+    scanned = []
+    with np.errstate(all="ignore"):
+        for alpha in alphas:
+            try:
+                b = wronskian_matrix(fields, alpha)
+            except PoleEvaluationError:
+                continue
+            if _lapack_safe(b):
+                cond = float(np.linalg.cond(b))
+                if np.isfinite(cond):
+                    scanned.append((cond, complex(alpha), b))
+    tie = min((item[0] for item in scanned), default=np.inf) * (1.0 + CONDITION_TIE_RTOL)
+    return next((item for item in scanned if item[0] <= tie), (np.inf, None, None))
+
+
+def _lapack_safe(b: np.ndarray):
+    """Whether every entry's modulus is finite, per matrix of a stack; LAPACK prints and
+    returns garbage on anything else."""
+    return np.isfinite(np.abs(b)).all(axis=(-2, -1))
 
 
 def inner(f1, f2, ctx: GramContext) -> complex:

@@ -415,7 +415,8 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
     alpha come from one Horner pass of repeated synthetic division, and are
     multiplied by the binomial series of every denominator factor,
     (alpha + h - a)**-m = sum_j C(m+j-1, j) (-h)**j (alpha - a)**(-m-j),
-    truncated at ``max_order``.  A non-finite alpha raises ``ValueError``.
+    truncated at ``max_order``.  A non-finite alpha raises ``ValueError``, and
+    a pole factor (alpha - a)**-m beyond the float range ``PoleEvaluationError``.
     """
     alphac = complex(alpha)
     if not cmath.isfinite(alphac):
@@ -433,7 +434,13 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
         gap = alphac - a
         if gap == 0:
             raise PoleEvaluationError(a)
-        series = np.convolve(series, _pole_series(np.complex128(gap).tobytes(), m, max_order))
+        try:
+            pole = _pole_series(np.complex128(gap).tobytes(), m, max_order)
+        except OverflowError:  # |gap|**-m is beyond the float range
+            raise PoleEvaluationError(
+                a, f"pole of order {m} at z = {a} overflows the float range at probe point {alphac}"
+            ) from None
+        series = np.convolve(series, pole)
         series = series[: max_order + 1]
     return series * _factorials(max_order)
 

@@ -84,6 +84,15 @@ def test_gram_subcommand(tmp_path):
     assert len(data["weight"]) == 8
 
 
+def test_gram_where_every_probe_overflows_answers_by_recovery(capfd):
+    # each probe's pole factor z**-781 overflows; no LAPACK text or warning may leak out
+    assert main(["gram", "--n", "5", "--rep", "charge", "--d", "5"]) == 0
+    out, err = capfd.readouterr()
+    data = json.loads(out)
+    assert data["alpha"] is None and data["condition_estimate"] == pytest.approx(1.0)
+    assert err == ""
+
+
 @pytest.mark.parametrize("command", ["checkli", "gram"])
 def test_defects_take_complex_literals_that_start_with_a_dash(capsys, command):
     assert main([command, "--n", "4"]) == 0

@@ -8,6 +8,7 @@ import pytest
 from qubitflow import (
     ConditioningError,
     LaurentField,
+    PoleEvaluationError,
     QubitState,
     basis_fields,
     build_gram,
@@ -24,8 +25,17 @@ from qubitflow import (
     position_map,
     wronskian_matrix,
 )
+from qubitflow import inner_products
+from qubitflow.fields import RationalField, _basis
+from qubitflow.inner_products import (
+    CONDITION_LIMIT,
+    CONDITION_TIE_RTOL,
+    PROBE_ANGLES,
+    PROBE_KEEPOUT,
+    PROBE_RADII,
+    GramContext,
+)
 from qubitflow.polynomials import Polynomial
-from qubitflow.fields import RationalField
 
 
 def random_state(rng, n):
@@ -199,3 +209,99 @@ def test_gram_probe_points_pinned():
     for (kind, n), alpha in expected.items():
         cfg = make_position_config(n) if kind == "position" else make_charge_config(n)
         assert abs(build_gram(cfg).alpha - alpha) < 1e-12, (kind, n)
+
+
+def reference_build_gram(cfg):
+    """build_gram as it was before the batched selection: every candidate through
+    ``wronskian_matrix`` and ``np.linalg.cond``, in scan order.
+
+    Two rules are newer than that scan: a probe whose pole factor overflows is
+    skipped, and a non-finite B is skipped before LAPACK sees it (its cond was
+    non-finite, and so skipped, anyway).
+    """
+    fields = _basis(cfg)
+    keepout = {a for f in fields for a, _ in f.denominator_spec}
+    scanned = []
+    for r in PROBE_RADII:
+        for k in range(PROBE_ANGLES):
+            alpha = r * np.exp(2j * np.pi * k / PROBE_ANGLES)
+            if min(abs(alpha - p) for p in keepout) < PROBE_KEEPOUT:
+                continue
+            try:
+                with np.errstate(all="ignore"):
+                    b = wronskian_matrix(fields, alpha)
+            except PoleEvaluationError:
+                continue
+            if not np.isfinite(np.abs(b)).all():
+                continue
+            cond = float(np.linalg.cond(b))
+            if np.isfinite(cond):
+                scanned.append((cond, complex(alpha), b))
+    tie = min((item[0] for item in scanned), default=np.inf) * (1.0 + CONDITION_TIE_RTOL)
+    cond, alpha, b = next((item for item in scanned if item[0] <= tie), (np.inf, None, None))
+    if cond > CONDITION_LIMIT:
+        rec = fields.recovery
+        if rec.condition > CONDITION_LIMIT:
+            raise ConditioningError(alpha, cond)
+        cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
+    b_inv = np.linalg.inv(b)
+    weight = b_inv.conj().T @ b_inv
+    weight = 0.5 * (weight + weight.conj().T)
+    return GramContext(cfg, alpha, b, weight, cond)
+
+
+def _scan_configs():
+    labelled = {}  # keyed by config, so a default d that repeats one of 1-5 runs once
+    for n in range(1, 5):
+        for d in (None, 1, 2, 3, 4, 5):
+            cfg = make_position_config(n, d)
+            labelled.setdefault(cfg, f"position-n{n}-d{cfg.d}")
+    labelled[make_position_config(5, 5)] = "position-n5-d5"
+    for n in range(1, 6):
+        for d in (None, 1, 2, 3, 4, 5):
+            cfg = make_charge_config(n, d)
+            labelled.setdefault(cfg, f"charge-n{n}-d{cfg.d}")
+    for n in (2, 3):
+        for d in (1, 2, 3):
+            for seed in (61, 62):
+                rng = np.random.default_rng(seed)
+                centers = tuple(complex(x, y) for x, y in rng.normal(size=(n, 2)))
+                labelled[make_position_config(n, d, centers)] = f"position-n{n}-d{d}-seed{seed}"
+    return [pytest.param(cfg, id=label) for cfg, label in labelled.items()]
+
+
+def _outcome(build, cfg):
+    try:
+        return build(cfg)
+    except ConditioningError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cfg", _scan_configs())
+def test_batched_probe_pick_matches_the_per_probe_scan(cfg):
+    want, got = _outcome(reference_build_gram, cfg), _outcome(build_gram, cfg)
+    if isinstance(want, str):
+        assert got == want
+        return
+    # repr round-trips every float exactly, the sign of a zero included
+    assert repr(got.alpha) == repr(want.alpha)
+    assert repr(got.condition_estimate) == repr(want.condition_estimate)
+    assert got.basis_matrix.tobytes() == want.basis_matrix.tobytes()
+    assert got.weight.tobytes() == want.weight.tobytes()
+
+
+def test_exact_path_runs_only_where_it_decides(monkeypatch):
+    calls = []
+
+    def counted(fields, alpha, order=None):
+        calls.append(alpha)
+        return wronskian_matrix(fields, alpha, order)
+
+    monkeypatch.setattr(inner_products, "wronskian_matrix", counted)
+    # the batch finds no probe under the limit and M is conditioned: recovery, no exact pass
+    for cfg in (make_charge_config(3), make_position_config(4), make_charge_config(5, 5)):
+        assert build_gram(cfg).alpha is None
+    assert calls == []
+    # charge bases tie on every angle of a circle, so the whole circle is re-taken
+    assert build_gram(make_charge_config(2)).alpha == 1.7
+    assert len(calls) == PROBE_ANGLES

@@ -327,6 +327,13 @@ def test_derivative_eval_rational_pole():
     assert exc.value.pole == 1
 
 
+def test_derivative_eval_overflowing_pole_factor_is_a_numerical_failure():
+    # 0.3**-1365 is beyond the float range; Python's complex power raises OverflowError
+    with pytest.raises(PoleEvaluationError, match="order 1365 .* probe point \\(0.3\\+0j\\)") as exc:
+        derivative_eval(LaurentField({-1365: 1.0}), 0.3, 3)
+    assert exc.value.pole == 0
+
+
 def test_derivative_eval_matches_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-5

@@ -4,19 +4,22 @@ The Gram route evaluates each field and its first 2^n - 1 derivatives at a
 probe point alpha, collects the basis images as columns of B(alpha), and uses
 P = (B^-1)^dagger B^-1 so the basis fields come out orthonormal; where no
 probe is conditioned, amplitude recovery M^+ N from the basis coefficient
-matrix M takes the derivatives' place.  The circle route is the exact
-coefficient overlap of two Laurent fields.
+matrix M takes the derivatives' place.  Either functional is one matrix per
+context, applied to the field's numerator over the basis' common denominator.
+The circle route is the exact coefficient overlap of two Laurent fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConditioningError, PoleEvaluationError
-from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows, _poles
-from .polynomials import _factorials, derivative_eval, wronskian_matrix
+from .fields import LaurentField, RationalField, RepresentationConfig, _basis, _numerator_rows
+from .fields import _poles
+from .polynomials import Polynomial, _factorials, derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
 CONDITION_TIE_RTOL = 1e-9
@@ -40,12 +43,24 @@ class GramContext:
     def order(self) -> int:
         return self.basis_matrix.shape[0]
 
+    @cached_property
+    def functional(self) -> np.ndarray:
+        """F, with Pi(field) = F @ N for N the field's numerator over the basis' common
+        denominator: M^+ for amplitude recovery, else column k holds the derivatives of
+        z**k over that denominator at alpha."""
+        basis = _basis(self.config)
+        if self.alpha is None:
+            return basis.recovery.pinv
+        spec = tuple(_poles(basis[0]).items())  # basis field 0 has every pole at full order
+        width = basis.rows.shape[1]
+        monomials = (RationalField(Polynomial([0] * k + [1]), spec) for k in range(width))
+        f = np.column_stack([derivative_eval(z_k, self.alpha, self.order - 1) for z_k in monomials])
+        f.setflags(write=False)
+        return f
+
     def pi(self, field) -> np.ndarray:
         """The functional: derivatives at the probe point, or the amplitudes M^+ N."""
-        if self.alpha is None:
-            basis = _basis(self.config)
-            return basis.recovery.pinv @ basis.align(field)
-        return derivative_eval(field, self.alpha, self.order - 1)
+        return self.functional @ _basis(self.config).align(field)
 
     def to_dict(self) -> dict:
         return {
@@ -89,7 +104,9 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)
-    return GramContext(cfg, alpha, b, weight, cond)
+    ctx = GramContext(cfg, alpha, b, weight, cond)
+    ctx.functional  # filled here, so set-up pays for it rather than the first inner
+    return ctx
 
 
 def _probe_points(fields) -> np.ndarray:
@@ -162,13 +179,12 @@ def _lapack_safe(b: np.ndarray):
 
 def inner(f1, f2, ctx: GramContext) -> complex:
     """<f1, f2> with the Gram weight; conjugate-linear in the first slot."""
-    v1 = ctx.pi(f1)
-    v2 = ctx.pi(f2)
-    return complex(v1.conj() @ ctx.weight @ v2)
+    return complex(ctx.pi(f1).conj() @ ctx.weight @ ctx.pi(f2))
 
 
 def gram_norm(field, ctx: GramContext) -> float:
-    return float(np.sqrt(max(inner(field, field, ctx).real, 0.0)))
+    v = ctx.pi(field)  # taken once; the same expression as inner(field, field, ctx)
+    return float(np.sqrt(max(complex(v.conj() @ ctx.weight @ v).real, 0.0)))
 
 
 def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None = None) -> complex:

@@ -15,6 +15,7 @@ from qubitflow import (
     charge_basis_fields,
     charge_map,
     circle_inner_product,
+    derivative_eval,
     gram_norm,
     inner,
     make_charge_config,
@@ -103,9 +104,15 @@ def test_gram_recovers_amplitudes_for_three_qubit_charge():
     a, b = random_state(rng, 3), random_state(rng, 3)
     got = inner(charge_map(a, cfg.d), charge_map(b, cfg.d), ctx)
     assert abs(got - np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
-    for outside in (LaurentField({100: 1.0}), LaurentField({-100: 1.0})):
-        with pytest.raises(ValueError, match="outside"):
-            inner(outside, outside, ctx)
+    # both kinds of context read a field through the basis' common denominator, so
+    # both reject one outside its span
+    for other in (ctx, build_gram(make_position_config(1)), build_gram(make_charge_config(1))):
+        for outside in (LaurentField({100: 1.0}), LaurentField({-100: 1.0})):
+            with pytest.raises(ValueError, match="outside"):
+                inner(outside, outside, other)
+    two_qubit_charge = charge_map(make_named_state("bell00+", 2))
+    with pytest.raises(ValueError, match="pole outside the shared denominator"):
+        inner(two_qubit_charge, two_qubit_charge, build_gram(make_position_config(1)))
 
 
 @pytest.mark.parametrize(
@@ -133,6 +140,16 @@ def test_gram_functional_rejects_a_non_finite_probe_point():
     for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
         with pytest.raises(ValueError, match="probe point .* is not finite"):
             dataclasses.replace(ctx, alpha=alpha).pi(field)
+
+
+def test_gram_norm_takes_the_functional_once_with_inner_bits():
+    rng = np.random.default_rng(8)
+    for cfg in (make_position_config(3), make_charge_config(2), make_charge_config(3)):
+        ctx = build_gram(cfg)
+        for _ in range(20):
+            f = map_state(random_state(rng, cfg.n), cfg)
+            want = float(np.sqrt(max(inner(f, f, ctx).real, 0.0)))
+            assert repr(gram_norm(f, ctx)) == repr(want)
 
 
 def test_gram_context_serializes():
@@ -288,6 +305,28 @@ def test_batched_probe_pick_matches_the_per_probe_scan(cfg):
     assert repr(got.condition_estimate) == repr(want.condition_estimate)
     assert got.basis_matrix.tobytes() == want.basis_matrix.tobytes()
     assert got.weight.tobytes() == want.weight.tobytes()
+
+
+@pytest.mark.parametrize("cfg", _scan_configs())
+def test_functional_matrix_matches_the_exact_path(cfg):
+    try:
+        ctx = build_gram(cfg)
+    except ConditioningError:
+        return
+    assert "functional" in vars(ctx)  # filled by build_gram, not by the first inner
+    basis = _basis(cfg)
+    rng = np.random.default_rng(3000 + cfg.n)
+    for _ in range(50):
+        f = map_state(random_state(rng, cfg.n), cfg)
+        got, aligned = ctx.pi(f), basis.align(f)
+        if ctx.alpha is None:
+            assert got.tobytes() == (basis.recovery.pinv @ aligned).tobytes()
+            continue
+        want = derivative_eval(f, ctx.alpha, ctx.order - 1)
+        # the matrix sums N's terms without Horner's nesting, so where they cancel (by
+        # up to 2e7 at custom centers) its roundoff scales with |F| |N|, not with Pi
+        scale = np.linalg.norm(np.abs(ctx.functional) @ np.abs(aligned))
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want) + 1e-14 * scale
 
 
 def test_exact_path_runs_only_where_it_decides(monkeypatch):

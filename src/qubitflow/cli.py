@@ -132,7 +132,7 @@ def cmd_gram(args) -> int:
 
 def cmd_circuit(args) -> int:
     spec = json.loads(_read_text(args.infile))
-    n = int(spec["n"])
+    n = states.int_from_json(spec["n"], "n")
     if args.render is not None:
         if args.rep is None:
             raise ValueError("--render needs --rep")
@@ -141,7 +141,7 @@ def cmd_circuit(args) -> int:
     history = [("init", (), st)]
     for op in spec["ops"]:
         name = op["gate"].upper()
-        targets = tuple(op.get("targets", ()))
+        targets = tuple(states.int_from_json(t, "target") for t in op.get("targets", ()))
         if name == "QFT":
             st = states.qft(st)
         elif name == "IQFT":

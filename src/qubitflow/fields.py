@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
 from .polynomials import Polynomial, _clears_trim, _trimmed_size, horner
-from .states import QubitState, bits_of_index, complex_from_pair
+from .states import QubitState, bits_of_index, complex_from_pair, int_from_json
 
 RANK_RTOL = 1e-9
 
@@ -172,10 +172,14 @@ class RationalField:
 def field_from_dict(data: dict):
     kind = data.get("type")
     if kind == "laurent":
-        return LaurentField({int(c): complex_from_pair(a) for c, a in data["terms"]})
+        terms = {int_from_json(c, "Laurent exponent"): complex_from_pair(a) for c, a in data["terms"]}
+        if len(terms) < len(data["terms"]):
+            raise ValueError("repeated Laurent exponent")
+        return LaurentField(terms)
     if kind == "rational":
         numer = Polynomial([complex_from_pair(c) for c in data["numerator"]])
-        spec = tuple((complex_from_pair(a), int(data["d"])) for a in data["defects"])
+        d = int_from_json(data["d"], "d")
+        spec = tuple((complex_from_pair(a), d) for a in data["defects"])
         return RationalField(numer, spec)
     raise ValueError(f"unknown field type {kind!r}")
 

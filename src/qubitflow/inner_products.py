@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConditioningError, PoleEvaluationError
+from .errors import ConditioningError
 from .fields import LaurentField, RationalField, RepresentationConfig, _basis, _numerator_rows
 from .fields import _poles
 from .polynomials import Polynomial, _factorials, derivative_eval, wronskian_matrix
@@ -26,7 +26,6 @@ CONDITION_TIE_RTOL = 1e-9
 PROBE_RADII = (0.3, 0.7, 1.7, 2.9)
 PROBE_ANGLES = 16
 PROBE_KEEPOUT = 1e-3
-_PROBE_WINDOW_RTOL = 1e-3  # batched cond within this of the batched minimum is re-taken exactly
 
 
 @dataclass(frozen=True)
@@ -76,31 +75,29 @@ class GramContext:
 def build_gram(cfg: RepresentationConfig) -> GramContext:
     """Pick the best-conditioned probe point from a fixed candidate grid.
 
-    Candidates on four circles are scanned in a fixed order, and the first
-    whose 2-norm condition number is within CONDITION_TIE_RTOL of the
-    smallest wins, so exact ties (every angle on a circle, for charge bases)
-    do not hang on roundoff.  One batched pass over every candidate selects
-    those within _PROBE_WINDOW_RTOL of its smallest condition number, and
-    ``wronskian_matrix`` re-takes them, so the rule reads exact values only.
-    Above CONDITION_LIMIT the probe is numerically useless, and amplitude
-    recovery (alpha None, condition cond M) serves instead; where M fails
-    too, the exact scan of every candidate reports the best probe in a
-    ConditioningError.
+    One batched pass takes the 2-norm condition number at every candidate on
+    four circles, and the first in scan order within CONDITION_TIE_RTOL of
+    the smallest wins, so exact ties (every angle on a circle, for charge
+    bases) do not hang on roundoff.  Where that value is within
+    CONDITION_LIMIT, ``wronskian_matrix`` takes B once, at the pick, and its
+    exact condition number decides.  Above CONDITION_LIMIT the probe is
+    numerically useless, and amplitude recovery (alpha None, condition
+    cond M) serves instead; where M fails too, a ConditioningError reports
+    the pick (alpha None where no condition number is finite).
     """
     fields = _basis(cfg)
     alphas = _probe_points(fields)
     conds = _batched_conditions(fields, alphas)
-    best = conds.min(initial=np.inf)
-    near = alphas[conds <= best * (1.0 + _PROBE_WINDOW_RTOL)] if best <= CONDITION_LIMIT else ()
-    cond, alpha, b = _first_best(fields, near)
+    first = int(np.argmax(conds <= conds.min(initial=np.inf) * (1.0 + CONDITION_TIE_RTOL)))
+    cond, alpha, b = float(conds[first]), complex(alphas[first]), None
+    if cond <= CONDITION_LIMIT:
+        b = wronskian_matrix(fields, alpha)
+        cond = float(np.linalg.cond(b)) if _lapack_safe(b) else np.inf
     if cond > CONDITION_LIMIT:
         rec = fields.recovery
-        if rec.condition <= CONDITION_LIMIT:
-            cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
-        else:
-            cond, alpha, b = _first_best(fields, alphas)
-            if cond > CONDITION_LIMIT:
-                raise ConditioningError(alpha, cond)
+        if rec.condition > CONDITION_LIMIT:
+            raise ConditioningError(alpha if np.isfinite(cond) else None, cond)
+        cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)
@@ -125,7 +122,8 @@ def _batched_conditions(fields, alphas: np.ndarray) -> np.ndarray:
     coefficients sum_i C(i, k) alpha**(i - k) c_i at alpha, summed over their
     nonzero columns only; each center's pole series then multiplies them as a
     lower-triangular Toeplitz matrix per probe.  The values agree with
-    ``wronskian_matrix`` to roundoff, not to the bit, so they only select.
+    ``wronskian_matrix`` to roundoff, not to the bit, so they pick the probe
+    and the exact B at the pick decides whether it serves.
     """
     order = len(fields)
     cols = np.flatnonzero(fields.rows.any(axis=0))
@@ -148,27 +146,6 @@ def _batched_conditions(fields, alphas: np.ndarray) -> np.ndarray:
     if finite.any():
         conds[finite] = np.linalg.cond(stack[finite])
     return conds
-
-
-def _first_best(fields, alphas) -> tuple[float, complex | None, np.ndarray | None]:
-    """(cond, alpha, B) of the first probe within CONDITION_TIE_RTOL of the smallest cond.
-
-    Each B comes from ``wronskian_matrix``; a probe where a pole factor
-    overflows or B is not finite is skipped.  (inf, None, None) if none is left.
-    """
-    scanned = []
-    with np.errstate(all="ignore"):
-        for alpha in alphas:
-            try:
-                b = wronskian_matrix(fields, alpha)
-            except PoleEvaluationError:
-                continue
-            if _lapack_safe(b):
-                cond = float(np.linalg.cond(b))
-                if np.isfinite(cond):
-                    scanned.append((cond, complex(alpha), b))
-    tie = min((item[0] for item in scanned), default=np.inf) * (1.0 + CONDITION_TIE_RTOL)
-    return next((item for item in scanned if item[0] <= tie), (np.inf, None, None))
 
 
 def _lapack_safe(b: np.ndarray):

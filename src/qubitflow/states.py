@@ -58,7 +58,7 @@ class QubitState:
     @classmethod
     def from_dict(cls, data: dict) -> "QubitState":
         amps = [complex_from_pair(a) for a in data["amplitudes"]]
-        return cls(int(data["n"]), np.array(amps))
+        return cls(int_from_json(data["n"], "n"), np.array(amps))
 
 
 def complex_from_pair(pair) -> complex:
@@ -69,6 +69,13 @@ def complex_from_pair(pair) -> complex:
     value = complex(re, im)
     if not cmath.isfinite(value):
         raise ValueError(f"non-finite value {value}")
+    return value
+
+
+def int_from_json(value, name: str) -> int:
+    """A JSON integer; a float, a bool or a string is rejected rather than rounded."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 

@@ -156,6 +156,14 @@ def test_circuit_unknown_gate(tmp_path):
     assert main(["circuit", "--in", str(circuit)]) == 2
 
 
+@pytest.mark.parametrize("spec", [{"n": 2.0, "ops": []}, {"n": 2, "ops": [{"gate": "X", "targets": [True]}]}])
+def test_circuit_rejects_a_count_or_target_that_is_not_an_integer(tmp_path, capsys, spec):
+    circuit = tmp_path / "bad.json"
+    circuit.write_text(json.dumps(spec))
+    assert main(["circuit", "--in", str(circuit)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_render_csv_svg(tmp_path):
     state_path = tmp_path / "state.json"
     field_path = tmp_path / "field.json"

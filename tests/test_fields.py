@@ -306,3 +306,11 @@ def test_non_finite_field_input_rejected():
         )
     with pytest.raises(ValueError, match="'nan'"):
         field_from_dict({"type": "laurent", "terms": [[1, ["nan", 0]]]})
+    # a JSON integer only: no float, bool or string rounded to one, and no exponent twice
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="Laurent exponent must be an integer"):
+            field_from_dict({"type": "laurent", "terms": [[bad, [1.0, 0.0]]]})
+    with pytest.raises(ValueError, match="d must be an integer"):
+        field_from_dict({"type": "rational", "numerator": [[1.0, 0.0]], "defects": [[0, 0]], "d": 1.7})
+    with pytest.raises(ValueError, match="repeated Laurent exponent"):
+        field_from_dict({"type": "laurent", "terms": [[1, [1.0, 0.0]], [1, [2.0, 0.0]]]})

@@ -287,19 +287,23 @@ def _scan_configs():
     return [pytest.param(cfg, id=label) for cfg, label in labelled.items()]
 
 
-def _outcome(build, cfg):
-    try:
-        return build(cfg)
-    except ConditioningError as exc:
-        return str(exc)
-
-
 @pytest.mark.parametrize("cfg", _scan_configs())
 def test_batched_probe_pick_matches_the_per_probe_scan(cfg):
-    want, got = _outcome(reference_build_gram, cfg), _outcome(build_gram, cfg)
-    if isinstance(want, str):
-        assert got == want
+    try:
+        want = reference_build_gram(cfg)
+    except ConditioningError:
+        # the batch reports its own pick: one of the candidates, or none if no cond is finite
+        with pytest.raises(ConditioningError) as exc:
+            build_gram(cfg)
+        assert exc.value.best_condition > CONDITION_LIMIT
+        fields = _basis(cfg)
+        alphas = inner_products._probe_points(fields)
+        if exc.value.best_alpha is None:
+            assert np.isinf(inner_products._batched_conditions(fields, alphas)).all()
+        else:
+            assert exc.value.best_alpha in alphas
         return
+    got = build_gram(cfg)
     # repr round-trips every float exactly, the sign of a zero included
     assert repr(got.alpha) == repr(want.alpha)
     assert repr(got.condition_estimate) == repr(want.condition_estimate)
@@ -340,7 +344,35 @@ def test_exact_path_runs_only_where_it_decides(monkeypatch):
     # the batch finds no probe under the limit and M is conditioned: recovery, no exact pass
     for cfg in (make_charge_config(3), make_position_config(4), make_charge_config(5, 5)):
         assert build_gram(cfg).alpha is None
+    # nor where M fails too
+    with pytest.raises(ConditioningError):
+        build_gram(make_position_config(3, 1))
     assert calls == []
-    # charge bases tie on every angle of a circle, so the whole circle is re-taken
-    assert build_gram(make_charge_config(2)).alpha == 1.7
-    assert len(calls) == PROBE_ANGLES
+    # a probe context takes B once, at its own probe, even where a whole circle ties
+    for cfg in (*(make_position_config(n) for n in (1, 2, 3)), *(make_charge_config(n) for n in (1, 2))):
+        calls.clear()
+        alpha = build_gram(cfg).alpha
+        assert calls == [alpha], cfg
+
+
+def test_exact_condition_at_the_pick_decides(monkeypatch):
+    def only_the_first(fields, alphas):
+        conds = np.full(alphas.size, np.inf)
+        conds[0] = 1.0
+        return conds
+
+    monkeypatch.setattr(inner_products, "_batched_conditions", only_the_first)
+    charge, position = make_charge_config(3), make_position_config(3, 1)
+    # the exact conds at 0.3 are 3.4e24 (charge) and 7.4e19 (position): no digit survives
+    for cfg in (charge, position):
+        fields = _basis(cfg)
+        assert inner_products._probe_points(fields)[0] == 0.3
+        assert np.linalg.cond(wronskian_matrix(fields, 0.3)) > 1e16, cfg
+    assert _basis(charge).recovery.condition <= CONDITION_LIMIT
+    assert _basis(position).recovery.condition == np.inf
+    # the batch's cond 1.0 does not stand in for the exact one
+    assert build_gram(charge).alpha is None
+    with pytest.raises(ConditioningError) as exc:
+        build_gram(position)
+    assert exc.value.best_alpha == 0.3
+    assert exc.value.best_condition > CONDITION_LIMIT

@@ -255,3 +255,6 @@ def test_non_finite_amplitudes_rejected():
         QubitState.from_dict({"n": 1, "amplitudes": [[1.0, 0.0], [np.inf, 0.0]]})
     with pytest.raises(ValueError, match="'nan'"):
         QubitState.from_dict({"n": 1, "amplitudes": [[1.0, 0.0], ["nan", 0.0]]})
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            QubitState.from_dict({"n": bad, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})

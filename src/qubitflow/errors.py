@@ -14,14 +14,18 @@ class PoleEvaluationError(QubitFlowError):
 
 
 class ConditioningError(QubitFlowError):
-    """Raised when no evaluation point gives an acceptably conditioned basis matrix."""
+    """Raised when no evaluation point gives an acceptably conditioned basis matrix.
 
-    def __init__(self, best_alpha: complex, best_condition: float):
+    ``rank``, a pair (r, N), marks a basis whose N fields span only r dimensions.
+    """
+
+    def __init__(self, best_alpha: complex, best_condition: float, rank: tuple[int, int] | None = None):
         self.best_alpha = best_alpha
         self.best_condition = best_condition
+        dependent = "" if rank is None else f"; the basis fields are dependent (rank {rank[0]} of {rank[1]})"
         super().__init__(
             f"no evaluation point with condition <= threshold; best candidate "
-            f"alpha = {best_alpha} (condition {best_condition:.3e})"
+            f"alpha = {best_alpha} (condition {best_condition:.3e}){dependent}"
         )
 
 

@@ -207,10 +207,9 @@ def ternary_exponent(tau: str, d: int) -> int:
 def charge_map(state: QubitState, d: int = DEFAULT_CHARGE_D) -> LaurentField:
     """Superpose the monomials z**c(sigma) with the state's amplitudes."""
     terms: dict[int, complex] = {}
-    for amp, fld in zip(state.amplitudes, _basis(make_charge_config(state.n, d))):
+    for amp, c in zip(state.amplitudes.tolist(), _charge_basis(state.n, d).exponents):
         if amp != 0:
-            (c,) = fld.terms
-            terms[c] = terms.get(c, 0.0) + amp
+            terms[c] = terms.get(c, 0j) + amp
     return LaurentField(terms)
 
 
@@ -230,13 +229,12 @@ def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
     if cfg.n != state.n:
         raise ValueError(f"configuration is for {cfg.n} qubits, state has {state.n}")
     basis = _basis(cfg)
-    total = np.full(basis.rows.shape[1], complex(-0.0, -0.0))
-    total[0], size, bound = 0j, 1, 0.0  # the sum starts as Polynomial([0.0])
+    total, size, bound = basis.start.copy(), 1, 0.0  # the sum starts as Polynomial([0.0])
     weights = (np.abs(state.amplitudes) * basis.row_scales).tolist()  # max |term coefficient|
-    for amp, weight, fld, row in zip(state.amplitudes.tolist(), weights, basis, basis.rows):
+    for amp, weight, numer in zip(state.amplitudes.tolist(), weights, basis.numerators):
         if amp == 0:
             continue
-        term, bound = row[: fld.numerator.coeffs.size] * amp, bound + weight
+        term, bound = numer * amp, bound + weight
         if not _clears_trim(term[-1], weight):
             term = Polynomial(term).coeffs  # trimmed as Polynomial.scale trims it
         total[: term.size] += term
@@ -248,7 +246,7 @@ def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
         total[size:width] = complex(-0.0, -0.0)
         if size == 0:
             total[0], size = 0j, 1
-    return RationalField(Polynomial(total[:size]), tuple((a, cfg.d) for a in cfg.defects))
+    return RationalField(Polynomial(total[:size]), basis[0].denominator_spec)
 
 
 def _basis(cfg: RepresentationConfig) -> "_Basis":
@@ -260,7 +258,7 @@ def _basis(cfg: RepresentationConfig) -> "_Basis":
 class _Basis(tuple):
     """Fields in index order.  ``rows``, built once, holds their numerators over the common
     denominator as zero-padded rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv,
-    condition and rank."""
+    condition and rank.  The other properties, also derived once, serve the maps and ``align``."""
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -283,12 +281,39 @@ class _Basis(tuple):
         cond = float(s[0] / s[-1]) if rank == m.shape[1] else np.inf
         return SimpleNamespace(matrix=m, pinv=pinv, condition=cond, rank=rank)
 
+    @cached_property
+    def poles(self) -> dict[complex, int]:
+        """M's denominator, {center: order}: basis state 0 has the deepest poles."""
+        return _poles(self[0])
+
+    @cached_property
+    def width(self) -> int:
+        return self.rows.shape[1]
+
+    @cached_property
+    def numerators(self) -> list[np.ndarray]:
+        return [f.numerator.coeffs for f in self]
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """Polynomial([0.0]) padded to the width with -0.0, IEEE's additive identity."""
+        start = np.full(self.width, complex(-0.0, -0.0))
+        start[0] = 0j
+        start.setflags(write=False)
+        return start
+
+    @cached_property
+    def exponents(self) -> list[int]:
+        """Each Laurent field's one exponent, for a charge basis."""
+        return [c for f in self for c in f.terms]
+
     def align(self, field) -> np.ndarray:
         """N: the field's numerator over M's denominator, one entry per row of M."""
-        # basis state 0 has the deepest poles: every center in position, z**-K in charge
-        row = _numerator_rows([field], _poles(self[0]), len(self.recovery.matrix))[0]
-        if row.size > len(self.recovery.matrix):
+        numer = _over(field, self.poles)
+        if numer.size > self.width:
             raise ValueError("field has a degree outside the span of the basis")
+        row = np.zeros(self.width, dtype=complex)
+        row[: numer.size] = numer
         return row
 
 
@@ -302,8 +327,13 @@ def _build_basis(cfg: RepresentationConfig, centers_key: bytes) -> _Basis:
     return _Basis(RationalField(Polynomial.from_linear_factors(f), spec) for f in factors)
 
 
+@lru_cache(maxsize=32)
+def _charge_basis(n: int, d: int) -> _Basis:
+    return _basis(make_charge_config(n, d))
+
+
 def charge_basis_fields(n: int, d: int) -> list[LaurentField]:
-    return list(_basis(make_charge_config(n, d)))
+    return list(_charge_basis(n, d))
 
 
 def position_basis_fields(cfg: RepresentationConfig) -> list[RationalField]:
@@ -379,28 +409,32 @@ def _poles(field) -> dict[complex, int]:
     return agg
 
 
-def _numerator_rows(fields, common=None, width: int = 0) -> np.ndarray:
+def _over(field, common: dict[complex, int]) -> np.ndarray:
+    """The numerator of ``field`` over the denominator ``common`` ({center: order}): each
+    missing pole order multiplies it by its factor, a shift for a pole at 0."""
+    own = _poles(field)
+    if any(m > common.get(a, 0) for a, m in own.items()):
+        raise ValueError("field has a pole outside the shared denominator")
+    numer = field.numerator.coeffs
+    for a, m in common.items():
+        k = m - own.get(a, 0)
+        if k and a == 0:
+            numer = np.concatenate([np.zeros(k, dtype=complex), numer])  # times z**k
+        elif k:
+            numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
+    return numer
+
+
+def _numerator_rows(fields, common=None) -> np.ndarray:
     """Numerators of ``fields`` over the denominator ``common`` ({center: order}; by default
-    the least common one), as coefficient rows zero-padded to at least ``width``."""
-    specs = [_poles(f) for f in fields]
+    the least common one), as zero-padded coefficient rows."""
     if common is None:
         common = {}
-        for spec in specs:
-            for a, m in spec.items():
+        for f in fields:
+            for a, m in _poles(f).items():
                 common[a] = max(common.get(a, 0), m)
-    rows = []
-    for f, spec in zip(fields, specs):
-        if any(m > common.get(a, 0) for a, m in spec.items()):
-            raise ValueError("field has a pole outside the shared denominator")
-        numer = f.numerator.coeffs
-        for a, m in common.items():
-            k = m - spec.get(a, 0)
-            if k and a == 0:
-                numer = np.concatenate([np.zeros(k, dtype=complex), numer])  # times z**k
-            elif k:
-                numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
-        rows.append(numer)
-    mat = np.zeros((len(rows), max(width, *(r.size for r in rows))), dtype=complex)
+    rows = [_over(f, common) for f in fields]
+    mat = np.zeros((len(rows), max(r.size for r in rows)), dtype=complex)
     for i, r in enumerate(rows):
         mat[i, : r.size] = r
     return mat

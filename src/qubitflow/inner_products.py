@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConditioningError
 from .fields import LaurentField, RationalField, RepresentationConfig, _basis, _numerator_rows
-from .fields import _poles
 from .polynomials import Polynomial, _factorials, derivative_eval, wronskian_matrix
 
 CONDITION_LIMIT = 1e8
@@ -50,9 +49,8 @@ class GramContext:
         basis = _basis(self.config)
         if self.alpha is None:
             return basis.recovery.pinv
-        spec = tuple(_poles(basis[0]).items())  # basis field 0 has every pole at full order
-        width = basis.rows.shape[1]
-        monomials = (RationalField(Polynomial([0] * k + [1]), spec) for k in range(width))
+        spec = tuple(basis.poles.items())
+        monomials = (RationalField(Polynomial([0] * k + [1]), spec) for k in range(basis.width))
         f = np.column_stack([derivative_eval(z_k, self.alpha, self.order - 1) for z_k in monomials])
         f.setflags(write=False)
         return f
@@ -83,7 +81,8 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     exact condition number decides.  Above CONDITION_LIMIT the probe is
     numerically useless, and amplitude recovery (alpha None, condition
     cond M) serves instead; where M fails too, a ConditioningError reports
-    the pick (alpha None where no condition number is finite).
+    the pick (alpha None where no condition number is finite) and, for a
+    dependent basis, its rank.
     """
     fields = _basis(cfg)
     alphas = _probe_points(fields)
@@ -96,7 +95,8 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     if cond > CONDITION_LIMIT:
         rec = fields.recovery
         if rec.condition > CONDITION_LIMIT:
-            raise ConditioningError(alpha if np.isfinite(cond) else None, cond)
+            rank = (rec.rank, len(fields)) if rec.rank < len(fields) else None
+            raise ConditioningError(alpha if np.isfinite(cond) else None, cond, rank)
         cond, alpha, b = rec.condition, None, rec.pinv @ rec.matrix
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
@@ -110,8 +110,7 @@ def _probe_points(fields) -> np.ndarray:
     """The candidates in scan order, less those within PROBE_KEEPOUT of a pole."""
     circle = [np.exp(2j * np.pi * k / PROBE_ANGLES) for k in range(PROBE_ANGLES)]
     alphas = np.array([r * u for r in PROBE_RADII for u in circle])
-    # basis field 0 has the deepest poles: every center in position, z**-K in charge
-    poles = np.array(list(_poles(fields[0])), dtype=complex)
+    poles = np.array(list(fields.poles), dtype=complex)
     return alphas[np.abs(alphas[:, None] - poles).min(axis=1) >= PROBE_KEEPOUT]
 
 
@@ -136,7 +135,7 @@ def _batched_conditions(fields, alphas: np.ndarray) -> np.ndarray:
         powers = np.cumprod(np.column_stack([np.ones(alphas.size), rising]), axis=1)
         vand = binom * powers[:, np.maximum(cols[:, None] - np.arange(order), 0)]
         stack = vand.transpose(0, 2, 1) @ fields.rows[:, cols].T
-        for a, m in _poles(fields[0]).items():
+        for a, m in fields.poles.items():
             gap = alphas[:, None] - a
             pole = np.cumprod(np.column_stack([gap**-m, (1.0 - m - j) / (j * gap)]), axis=1)
             stack = np.where(lag >= 0, pole[:, np.maximum(lag, 0)], 0) @ stack

@@ -60,11 +60,14 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+        c = np.array(coeffs, dtype=complex, ndmin=1)  # a copy, never shared
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         size = _trimmed_size(c)
-        c = c[:size].copy() if size else np.zeros(1, dtype=complex)
+        if size == 0:
+            c = np.zeros(1, dtype=complex)
+        elif size < c.size:  # a second copy, so the trimmed tail is not kept alive
+            c = c[:size].copy()
         c.setflags(write=False)
         self.coeffs = c
 
@@ -132,7 +135,7 @@ def _trimmed_size(c: np.ndarray) -> int:
     modulus overflows, raises ``ValueError``.
     """
     mags = np.abs(c)
-    scale = float(mags.max()) if c.size else 0.0
+    scale = float(np.maximum.reduce(mags)) if c.size else 0.0
     if not math.isfinite(scale):
         if not np.isfinite(c).all():
             raise ValueError(f"non-finite polynomial coefficient {c[~np.isfinite(c)][0]}")

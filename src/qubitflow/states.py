@@ -26,10 +26,10 @@ class QubitState:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # the one copy
         if amps.size != 2**self.n:
             raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError(f"non-finite amplitude {amps[~np.isfinite(amps)][0]}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -349,3 +349,88 @@ def test_an_overflowing_amplitude_is_rejected(tmp_path, capsys, amplitudes, mess
         assert main(["map", "--in", str(path), "--defects", "1+1j"]) == 2
     assert str(got.value) == str(want.value)
     assert capsys.readouterr().err.startswith(f"error: {got.value}")
+
+
+# ---- hard amplitude families: both maps read the basis' cached layout bit for bit
+
+
+def hard_states(rng, n):
+    dim = 2**n
+    yield QubitState(n, np.zeros(dim))
+    yield QubitState(n, np.full(dim, complex(-0.0, -0.0)))
+    x, parts = np.round(rng.normal(size=dim), 1), rng.integers(0, 4, size=dim)
+    yield QubitState(n, np.array([complex(-0.0 if p & 1 else v, -0.0 if p & 2 else v) for v, p in zip(x, parts)]))
+    for _ in range(4):
+        yield QubitState(n, 10 ** rng.uniform(-8, 8, size=dim) * np.exp(2j * np.pi * rng.random(dim)))
+    for i in range(dim):
+        yield qft(qft(make_basis_state(n, bits_of_index(i, n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maps_match_the_reference_on_hard_amplitude_families(n):
+    rng = np.random.default_rng(900 + n)
+    cfgs = position_configs(rng, n)
+    trimmed = 0
+    for state in hard_states(rng, n):
+        for cfg in cfgs:
+            assert_maps_like_the_reference(state, cfg)
+            trimmed += bool(trimmed_partial_sums(state, cfg))
+        for d in (1, 2, 3):
+            assert field_bits(charge_map(state, d)) == field_bits(reference_charge_map(state, d))
+    # QFT^2 of a basis state leaves roundoff amplitudes whose partial sums trim
+    assert trimmed or n == 1
+    # at d = 1 distinct bit strings share an exponent, so charge_map adds amplitudes
+    exponents = [exponent(bits_of_index(i, n), 1) for i in range(2**n)]
+    assert len(set(exponents)) < len(exponents) or n == 1
+
+
+def test_charge_map_adds_signed_zeros_on_shared_exponents_like_the_reference():
+    # |01> and |10> share exponent 0 at d = 1: (-0.0) + (-0.0) and x + (-x) both land on one term
+    for amps in ([0, complex(-0.0, -0.0), complex(-0.0, -0.0), 1], [0, 0.5 - 0.25j, -0.5 + 0.25j, 1], [0, -0.0, 2.0, 0]):
+        state = QubitState(2, np.array(amps, dtype=complex))
+        assert field_bits(charge_map(state, 1)) == field_bits(reference_charge_map(state, 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QubitState(0, [1.0]), "need at least one qubit"),
+        (lambda: QubitState(2, np.ones(3)), "expected 4 amplitudes, got 3"),
+        (lambda: QubitState(2, np.ones((2, 3))), "expected 4 amplitudes, got 6"),
+        (lambda: QubitState(1, [1.0, np.nan]), "non-finite amplitude (nan+0j)"),
+        (lambda: QubitState(1, [complex(1.0, np.inf), 0.0]), "non-finite amplitude (1+infj)"),
+        (lambda: Polynomial(np.ones((2, 2))), "coefficients must be one-dimensional"),
+        (lambda: Polynomial([[1.0]]), "coefficients must be one-dimensional"),
+        (lambda: Polynomial([1.0, complex(np.nan, 1.0)]), "non-finite polynomial coefficient (nan+1j)"),
+        (lambda: Polynomial([1.0, -np.inf]), "non-finite polynomial coefficient (-inf+0j)"),
+        (
+            lambda: Polynomial([complex(1.5e308, 1.5e308), 1.0]),
+            "polynomial coefficient (1.5e+308+1.5e+308j) overflows in modulus",
+        ),
+    ],
+)
+def test_state_and_polynomial_keep_their_error_messages(build, message):
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as exc:
+            build()
+    assert str(exc.value) == message
+
+
+def test_state_and_polynomial_copy_their_input_once_and_freeze_it():
+    amps = np.arange(4.0).reshape(2, 2, order="F")
+    assert bits(QubitState(2, amps).amplitudes) == bits(amps.reshape(-1))  # row-major, whatever the input order
+    for amps in (np.arange(4, dtype=complex), np.arange(4, dtype=complex).reshape(2, 2)):
+        state = QubitState(2, amps)
+        amps.flat[0] = 9.0
+        assert state.amplitudes[0] == 0 and not state.amplitudes.flags.writeable
+    coeffs = np.array([1.0, 2.0, 1e-20], dtype=complex)
+    poly = Polynomial(coeffs)
+    coeffs[0] = 9.0
+    assert bits(poly.coeffs) == bits([1.0, 2.0]) and not poly.coeffs.flags.writeable
+    poly = Polynomial(coeffs[:2])
+    coeffs[0] = 7.0
+    assert bits(poly.coeffs) == bits([9.0, 2.0])
+    # a trimmed polynomial holds its kept coefficients only, not the buffer it was cut from
+    assert Polynomial(np.r_[1.0, np.zeros(1000)]).coeffs.base is None
+    assert bits(Polynomial(5.0).coeffs) == bits([5.0])
+    assert bits(Polynomial([]).coeffs) == bits(Polynomial([-0.0, 0.0]).coeffs) == bits([0j])

@@ -70,13 +70,15 @@ def test_analyze_entangled(tmp_path):
     assert report["halos"]["leftover"]
 
 
-def test_gram_subcommand(tmp_path):
+def test_gram_subcommand(tmp_path, capsys):
     out = tmp_path / "gram.json"
     assert main(["gram", "--n", "2", "--rep", "position", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["condition_estimate"] < 1e8
-    # The degenerate three-qubit d=1 family fails conditioning: exit code 3.
+    # The degenerate three-qubit d=1 family fails conditioning: exit code 3, naming the rank.
+    capsys.readouterr()
     assert main(["gram", "--n", "3", "--rep", "position", "--d", "1"]) == 3
+    assert capsys.readouterr().err.endswith("; the basis fields are dependent (rank 6 of 8)\n")
     # No probe point conditions three-qubit charge; amplitude recovery answers.
     assert main(["gram", "--n", "3", "--rep", "charge", "--out", str(out)]) == 0
     data = json.loads(out.read_text())

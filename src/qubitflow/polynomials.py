@@ -433,32 +433,21 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
         shifted[0] = c
         shifted[1:] = shifted[1:] * alphac + shifted[:-1]
     series = shifted[1:]
+    j = np.arange(1.0, max_order + 1)
     for a, m in field.denominator_spec:
         gap = alphac - a
         if gap == 0:
             raise PoleEvaluationError(a)
         try:
-            pole = _pole_series(np.complex128(gap).tobytes(), m, max_order)
+            lead = gap**-m
         except OverflowError:  # |gap|**-m is beyond the float range
             raise PoleEvaluationError(
                 a, f"pole of order {m} at z = {a} overflows the float range at probe point {alphac}"
             ) from None
+        pole = np.cumprod(np.concatenate(([lead], (1.0 - m - j) / (j * gap))))
         series = np.convolve(series, pole)
         series = series[: max_order + 1]
     return series * _factorials(max_order)
-
-
-@lru_cache(maxsize=256)
-def _pole_series(gap_key: bytes, m: int, max_order: int) -> np.ndarray:
-    """Taylor coefficients of (gap + h)**-m up to h**max_order, read-only.
-
-    Keyed by the gap's bytes, so gaps of +0.0 and -0.0 parts keep their own entries.
-    """
-    gap = complex(np.frombuffer(gap_key, dtype=complex)[0])
-    j = np.arange(1.0, max_order + 1)
-    factor = np.cumprod(np.concatenate(([gap**-m], (1.0 - m - j) / (j * gap))))
-    factor.setflags(write=False)
-    return factor
 
 
 @lru_cache(maxsize=64)

@@ -1,7 +1,5 @@
 """Gram-matrix inner product and the unit-circle quadrature pairing."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -95,7 +93,7 @@ def test_gram_conditioning_failure_for_degenerate_config():
 
 
 def test_gram_recovers_amplitudes_for_three_qubit_charge():
-    # no probe point conditions this basis; the amplitude functional serves instead
+    # no probe point conditions this basis; amplitude recovery serves instead
     cfg = make_charge_config(3)
     ctx = build_gram(cfg)
     assert ctx.alpha is None and ctx.order == 8
@@ -113,6 +111,17 @@ def test_gram_recovers_amplitudes_for_three_qubit_charge():
     two_qubit_charge = charge_map(make_named_state("bell00+", 2))
     with pytest.raises(ValueError, match="pole outside the shared denominator"):
         inner(two_qubit_charge, two_qubit_charge, build_gram(make_position_config(1)))
+    # a numerator that fits the basis' width and poles but is orthogonal to every basis
+    # row is the field of no state
+    for n in (1, 2):
+        cfg = make_position_config(n)
+        ctx, basis = build_gram(cfg), _basis(cfg)
+        assert basis.width > 2**n
+        outside = RationalField(Polynomial(np.linalg.svd(basis.rows)[2][-1]), basis[0].denominator_spec)
+        assert np.abs(basis.rows.conj() @ basis.align(outside)).max() < 1e-15
+        for read in (lambda f: inner(f, f, ctx), lambda f: gram_norm(f, ctx), ctx.pi):
+            with pytest.raises(ValueError, match="outside the span of the basis"):
+                read(outside)
 
 
 @pytest.mark.parametrize(
@@ -131,15 +140,6 @@ def test_gram_reproduces_amplitude_overlaps(cfg):
         a, b = random_state(rng, cfg.n), random_state(rng, cfg.n)
         got = inner(map_state(a, cfg), map_state(b, cfg), ctx)
         assert abs(got - np.vdot(a.amplitudes, b.amplitudes)) < 1e-9
-
-
-def test_gram_functional_rejects_a_non_finite_probe_point():
-    cfg = make_position_config(2)
-    ctx = build_gram(cfg)
-    field = position_map(random_state(np.random.default_rng(4), 2), cfg)
-    for alpha in (complex(np.nan, 0.0), complex(0.0, np.inf)):
-        with pytest.raises(ValueError, match="probe point .* is not finite"):
-            dataclasses.replace(ctx, alpha=alpha).pi(field)
 
 
 def test_gram_norm_takes_the_functional_once_with_inner_bits():
@@ -313,24 +313,34 @@ def test_batched_probe_pick_matches_the_per_probe_scan(cfg):
 
 @pytest.mark.parametrize("cfg", _scan_configs())
 def test_functional_matrix_matches_the_exact_path(cfg):
+    # Pi(f) is B psi: the probe's functional matrix B applied to the recovered amplitudes
     try:
         ctx = build_gram(cfg)
     except ConditioningError:
         return
-    assert "functional" in vars(ctx)  # filled by build_gram, not by the first inner
     basis = _basis(cfg)
     rng = np.random.default_rng(3000 + cfg.n)
     for _ in range(50):
         f = map_state(random_state(rng, cfg.n), cfg)
-        got, aligned = ctx.pi(f), basis.align(f)
         if ctx.alpha is None:
-            assert got.tobytes() == (basis.recovery.pinv @ aligned).tobytes()
-            continue
-        want = derivative_eval(f, ctx.alpha, ctx.order - 1)
-        # the matrix sums N's terms without Horner's nesting, so where they cancel (by
-        # up to 2e7 at custom centers) its roundoff scales with |F| |N|, not with Pi
-        scale = np.linalg.norm(np.abs(ctx.functional) @ np.abs(aligned))
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want) + 1e-14 * scale
+            want = basis.recovery.pinv @ basis.align(f)
+        else:
+            want = derivative_eval(f, ctx.alpha, ctx.order - 1)
+        assert np.linalg.norm(ctx.pi(f) - want) <= 2e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cfg", _scan_configs())
+def test_inner_matches_the_amplitude_overlap(cfg):
+    try:
+        ctx = build_gram(cfg)
+    except ConditioningError:
+        return
+    rng = np.random.default_rng(3000 + cfg.n)
+    err = 0.0
+    for _ in range(50):
+        a, b = random_state(rng, cfg.n), random_state(rng, cfg.n)
+        err = max(err, abs(inner(map_state(a, cfg), map_state(b, cfg), ctx) - np.vdot(a.amplitudes, b.amplitudes)))
+    assert err <= 1e-10
 
 
 def test_exact_path_runs_only_where_it_decides(monkeypatch):

@@ -146,7 +146,18 @@ class HaloReport:
         }
 
 
-def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
+def _screen(centers: list, sites: list[list], d: int) -> list[list[bool]]:
+    """keep[j][s]: whether site s, at z, may seed a halo around a = centers[j], from one array
+    pass: whether a + (z - a) exp(i pi / d) lies within 2 GROUP_RTOL (1 + |z - a|) of a site,
+    or (z - a)**(2d) may overflow, which the walk then judges."""
+    locs = np.array([s[0] for s in sites], dtype=complex)
+    a = np.array(centers, dtype=complex)[:, None]
+    r = np.abs(locs - a)
+    gaps = np.abs((a + (locs - a) * np.exp(1j * np.pi / d))[..., None] - locs).min(axis=-1)
+    return (~(gaps > 2 * GROUP_RTOL * (1.0 + r)) | (r > 1e150 ** (1.0 / d))).tolist()
+
+
+def _match_polygon(center: complex, sites: list[list], skip: int, d: int, keep: list[bool]):
     """Find one regular 2d-gon of zeros around ``center``.
 
     Every candidate zero seeds a trial: its (z - center)**(2d) fixes an ideal
@@ -158,12 +169,17 @@ def _match_polygon(center: complex, sites: list[list], skip: int, d: int):
     vertices share their nearest zero and tries the next seed; that needs
     adjacent vertices within 2 tol, so r below about 1e-4 / sin(pi / 2d).
 
+    Only seeds that ``keep``, this center's row of ``_screen``, passes are
+    tried, and that changes no result: a trial needs a candidate within tol of
+    each ideal vertex, the seed turned by pi / d is one of them up to roundoff
+    (about eps |center|, below tol), and the screen tests it on every site at 2 tol.
+
     Returns (site indices to consume, mean value, radius, phase) or None.
     """
     cand = [i for i, s in enumerate(sites) if s[1] >= 1 and i != skip]
     # candidate locations, last first, so that argmin takes the last of a tie
     locs = np.array([sites[i][0] for i in cand[::-1]], dtype=complex)
-    for seed in cand:
+    for seed in (i for i in cand if keep[i]):
         vs = (sites[seed][0] - center) ** (2 * d)
         if vs == 0:
             continue
@@ -190,9 +206,10 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     """Account for every numerator zero as part of a per-center halo.
 
     Each center is resolved in configuration order: a 2d-fold zero on the
-    center is a collapsed halo, a regular 2d-gon sharing one value of
-    (z - a_j)**(2d) is a regular halo, no zeros at all is a halo at infinity.
-    Zeros that no center claims are reported as leftovers.
+    center is a collapsed halo, and a regular 2d-gon sharing one value of
+    (z - a_j)**(2d) is a regular halo; failing both, the center is at-infinity
+    if no zero sits on it, even with zeros left elsewhere (GHZ-4 has four),
+    and absent if some do.  Zeros that no center claims are reported as leftovers.
     """
     if cfg.kind != "position":
         raise ValueError("halo detection needs a position configuration")
@@ -211,13 +228,14 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
             off_center.append([z, m])
     sites = [[a, remaining[a]] for a in centers] + off_center
 
+    keep = _screen(centers, sites, d)
     halos = []
     for j, a in enumerate(centers):
         if sites[j][1] >= 2 * d:
             sites[j][1] -= 2 * d
             halos.append(Halo(a, "collapsed", (a,), 0j, 1 + 0j, None, None))
             continue
-        found = _match_polygon(a, sites, j, d)
+        found = _match_polygon(a, sites, j, d, keep[j])
         if found is not None:
             chosen, vbar, radius, phase = found
             for i in chosen:
@@ -277,7 +295,7 @@ def field_separability(
     lam the fit of M w to N; on a dependent basis this picks the state with
     this field nearest w.
     Miss: an empty witness (entangled) when a zero is left out of the halos,
-    when N is outside the span of M (``_Basis.amplitudes``' rule), or when w fails.
+    when N is outside the span of M (``_Basis.recover``'s rule), or when w fails.
     """
     if report is None:
         report = detect_halos(extract_defects(field), cfg)
@@ -286,7 +304,7 @@ def field_separability(
     basis = _basis(cfg)
     numer, rec = basis.align(field), basis.recovery
     try:
-        basis.amplitudes(field)  # N fits the basis, so only the span rule raises here
+        basis.recover(numer)  # only the span rule raises here
     except ValueError:
         return False, ()
     start = [np.array([h.alpha, h.beta]) for h in report.halos]

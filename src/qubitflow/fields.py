@@ -259,7 +259,7 @@ class _Basis(tuple):
     """Fields in index order.  ``rows``, built once, holds their numerators over the common
     denominator as zero-padded rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv,
     left inverse, condition and rank.  The other properties, also derived once, serve the maps,
-    ``align`` and ``amplitudes``."""
+    ``align`` and ``recover``."""
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -287,9 +287,13 @@ class _Basis(tuple):
         return SimpleNamespace(matrix=m, pinv=pinv, left_inverse=left, condition=cond, rank=rank)
 
     def amplitudes(self, field) -> np.ndarray:
-        """psi = G N for N = ``align(field)``; a field with ||N - M psi|| > FACTOR_SV_RTOL ||N||
+        """psi = ``recover(align(field))``, the state whose field this is."""
+        return self.recover(self.align(field))
+
+    def recover(self, numer: np.ndarray) -> np.ndarray:
+        """psi = G N for an aligned numerator N; an N with ||N - M psi|| > FACTOR_SV_RTOL ||N||
         lies outside the span of M, is the field of no state, and raises ValueError."""
-        numer, rec = self.align(field), self.recovery
+        rec = self.recovery
         psi = rec.left_inverse @ numer
         resid = numer - rec.matrix @ psi
         if np.vdot(resid, resid).real > FACTOR_SV_RTOL**2 * np.vdot(numer, numer).real:

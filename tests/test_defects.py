@@ -1,5 +1,6 @@
 """Defect extraction, halo geometry, and separability detection."""
 
+import functools
 import json
 
 import numpy as np
@@ -24,8 +25,9 @@ from qubitflow import (
     qft,
     tensor,
 )
+from qubitflow import defects
 from qubitflow.cli import main
-from qubitflow.defects import GROUP_RTOL, _match_polygon
+from qubitflow.defects import GROUP_RTOL, _match_polygon, _screen
 from qubitflow.fields import LaurentField, RationalField
 from qubitflow.polynomials import Polynomial
 
@@ -256,37 +258,132 @@ def _site_set(rng):
     return centers, sites, d, int(np.sum(kinds == "polygon"))
 
 
+# an exact tie about 0 with d = 1: the ideal vertex exp(i pi) lies as far from -1 - 2**-17
+# as from -1 + 2**-17
+TIE_SITES = ((0j, 0), (1 + 0j, 1), (-1 - 2**-17 + 0j, 1), (-1 + 2**-17 + 0j, 1))
+# zeros a, b, c about 0 with d = 1 at radius about 1e-5, below the nearest-vertex rule's bound
+SMALL_SITES = ((0j, 0), (1e-5 + 0j, 1), (-1e-5 + 3e-5j, 1), (1e-5 - 2.5e-5j, 1))
+
+
 def test_match_polygon_agrees_with_the_greedy_reference():
     rng = np.random.default_rng(2024)
     found = planted = 0
     for _ in range(300):
         centers, sites, d, count = _site_set(rng)
         planted += count
+        keep = _screen(centers, sites, d)
         for j, a in enumerate(centers):
             if sites[j][1] >= 2 * d:
                 sites[j][1] -= 2 * d
                 continue
             want = _greedy_match_polygon(a, sites, j, d)
-            assert _match_polygon(a, sites, j, d) == want
+            assert _match_polygon(a, sites, j, d, keep[j]) == want
             if want is not None:
                 found += 1
                 for i in want[0]:
                     sites[i][1] -= 1
     assert found == planted
-    # an exact tie: the ideal vertex exp(i pi) lies as far from -1 - 2**-17 as from -1 + 2**-17
-    sites = [[0j, 0], [1 + 0j, 1], [-1 - 2**-17 + 0j, 1], [-1 + 2**-17 + 0j, 1]]
-    assert _match_polygon(0j, sites, 0, 1) == _greedy_match_polygon(0j, sites, 0, 1)
-    assert _match_polygon(0j, sites, 0, 1)[0] == [1, 3]
+    sites = [list(s) for s in TIE_SITES]
+    keep = _screen([0j], sites, 1)[0]
+    assert _match_polygon(0j, sites, 0, 1, keep) == _greedy_match_polygon(0j, sites, 0, 1)
+    assert _match_polygon(0j, sites, 0, 1, keep)[0] == [1, 3]
 
 
 def test_match_polygon_below_the_radius_bound_tries_the_next_seed():
     # radius 1e-5: both vertices of seed a's 2-gon have a as their nearest zero, so
     # greedy completes it with b, and the nearest-vertex rule moves on to seed b
-    a, b, c = 1e-5 + 0j, -1e-5 + 3e-5j, 1e-5 - 2.5e-5j
-    sites = [[0j, 0], [a, 1], [b, 1], [c, 1]]
+    sites, (b, c) = [list(s) for s in SMALL_SITES], (SMALL_SITES[2][0], SMALL_SITES[3][0])
     assert _greedy_match_polygon(0j, sites, 0, 1)[0] == [1, 2]
-    chosen, _, radius, _ = _match_polygon(0j, sites, 0, 1)
+    chosen, _, radius, _ = _match_polygon(0j, sites, 0, 1, _screen([0j], sites, 1)[0])
     assert sorted(chosen) == [2, 3] and radius == pytest.approx((abs(b) + abs(c)) / 2)
+
+
+def _every_seed(sites):
+    return [True] * len(sites)
+
+
+@pytest.mark.parametrize("seed", [2024, 2031])
+def test_screen_drops_only_seeds_whose_walk_fails(seed):
+    rng = np.random.default_rng(seed)
+    cases = [_site_set(rng)[:3] for _ in range(300)]
+    cases += [([0j], [list(s) for s in TIE_SITES], 1), ([0j], [list(s) for s in SMALL_SITES], 1)]
+    found = dropped = 0
+    for centers, sites, d in cases:
+        keep = _screen(centers, sites, d)
+        for j, a in enumerate(centers):
+            if sites[j][1] >= 2 * d:
+                sites[j][1] -= 2 * d
+                continue
+            want = _match_polygon(a, sites, j, d, _every_seed(sites))
+            assert _match_polygon(a, sites, j, d, keep[j]) == want
+            for s in np.flatnonzero(np.logical_not(keep[j])):
+                alone = [i == s for i in range(len(sites))]
+                assert _match_polygon(a, sites, j, d, alone) is None
+                dropped += 1
+            if want is not None:
+                found += 1
+                for i in want[0]:
+                    sites[i][1] -= 1
+    assert found > 300 and dropped > 1000
+
+
+def test_screen_keeps_the_seeds_whose_power_overflows():
+    # the walk's (z - a)**(2d) is finite for 1e100 and overflows for 1e200; the screen drops
+    # the first seed, whose turned point -1e100 lies near no site, and leaves the second to the walk
+    assert _screen([0j], [[0j, 0], [1e100 + 0j, 1], [1e200 + 0j, 1]], 1) == [[True, False, True]]
+
+
+def _families(rng, n):
+    """Three draws each of products, near-products (eps 1e-12..1e-4), skewed products
+    (|beta / alpha| 1e-7..1e7) and generic states, then the phased and the QFT-squared basis
+    states."""
+    states = []
+    for _ in range(3):
+        states.append(random_separable(rng, n))
+        eps = 10 ** rng.uniform(-12, -4)
+        states.append(QubitState(n, random_separable(rng, n).amplitudes + eps * random_state(rng, n).amplitudes))
+        betas = 10 ** rng.uniform(-7, 7, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        states.append(functools.reduce(tensor, [QubitState(1, np.array([1.0, b])) for b in betas]))
+        states.append(random_state(rng, n))
+    bits = [format(i, f"0{n}b") for i in range(2**n)]
+    states += [QubitState(n, np.exp(0.3j) * make_basis_state(n, b).amplitudes) for b in bits]
+    states += [qft(qft(make_basis_state(n, b))) for b in bits]
+    return states
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_detect_halos_equals_the_unscreened_walk(n, monkeypatch):
+    rng = np.random.default_rng(90 + n)
+    centers = (1.5 * rng.normal(size=n) + 1.5j * rng.normal(size=n)).tolist()
+    configs = [make_position_config(n)] + [make_position_config(n, d, centers) for d in (1, 2, 4)]
+    cases = [(cfg, extract_defects(position_map(st, cfg))) for cfg in configs for st in _families(rng, n)]
+    screened = [detect_halos(dset, cfg) for cfg, dset in cases]
+    monkeypatch.setattr(defects, "_screen", lambda centers, sites, d: [_every_seed(sites)] * len(centers))
+    for (cfg, dset), got in zip(cases, screened):
+        want = detect_halos(dset, cfg)
+        assert got == want and repr(got) == repr(want)
+
+
+def test_screen_leaves_generic_fields_no_seed_to_walk(monkeypatch):
+    # the mechanism of the speed-up: a generic field has no halo, and the screen sees that
+    # before the walk at n = 2 and n = 4 (at n = 3 a seed or two slip through)
+    walked, walk = [], defects._match_polygon
+
+    def spy(center, sites, skip, d, keep):
+        walked.extend(i for i, s in enumerate(sites) if s[1] >= 1 and i != skip and keep[i])
+        return walk(center, sites, skip, d, keep)
+
+    monkeypatch.setattr(defects, "_match_polygon", spy)
+    rng = np.random.default_rng(11)
+    counts = {}
+    for n in (2, 3, 4):
+        cfg = make_position_config(n)
+        walked.clear()
+        for _ in range(100):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            detect_halos(extract_defects(position_map(QubitState(n, amps), cfg)), cfg)
+        counts[n] = len(walked)
+    assert counts[2] == counts[4] == 0
 
 
 def test_separability_detects_products_and_entanglement():

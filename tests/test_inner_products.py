@@ -459,3 +459,18 @@ def test_align_matches_the_general_numerator_rows(cfg):
     for label in ("degree", "far degree"):
         assert _aligned(basis.align, outside[label]) == "field has a degree outside the span of the basis"
     assert _aligned(basis.align, outside["pole"]) == "field has a pole outside the shared denominator"
+
+
+@pytest.mark.parametrize("n, d, probe, bound", [(2, 4, True, 1e-14), (4, 3, False, 3e-13)])
+def test_inner_reads_through_the_left_inverse(n, d, probe, bound):
+    # G = (M^+ M)^-1 M^+ divides the roundoff of M^+ M back out: read through M^+ itself,
+    # the same pairs lose 8.6e-13 (probe context) and 1.05e-12 (recovery context)
+    cfg = make_position_config(n, d)
+    ctx = build_gram(cfg)
+    assert (ctx.alpha is not None) == probe
+    rng = np.random.default_rng(7)
+    err = 0.0
+    for _ in range(50):
+        a, b = random_state(rng, n), random_state(rng, n)
+        err = max(err, abs(inner(map_state(a, cfg), map_state(b, cfg), ctx) - np.vdot(a.amplitudes, b.amplitudes)))
+    assert err <= bound

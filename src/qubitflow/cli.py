@@ -101,7 +101,8 @@ def cmd_state(args) -> int:
 
 def cmd_map(args) -> int:
     st = states.QubitState.from_dict(json.loads(_read_text(args.infile)))
-    field = fields_mod.map_state(st, _config_from_args(args, st.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # Polynomial rejects an overflowing term
+        field = fields_mod.map_state(st, _config_from_args(args, st.n))
     _emit_json(args.out, field.to_dict())
     return 0
 

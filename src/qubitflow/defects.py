@@ -19,6 +19,7 @@ beyond its multiplicity fails (where a greedy search takes a farther zero).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,59 +147,53 @@ class HaloReport:
         }
 
 
-def _screen(centers: list, sites: list[list], d: int) -> list[list[bool]]:
-    """keep[j][s]: whether site s, at z, may seed a halo around a = centers[j], from one array
-    pass: whether a + (z - a) exp(i pi / d) lies within 2 GROUP_RTOL (1 + |z - a|) of a site,
-    or (z - a)**(2d) may overflow, which the walk then judges."""
+def _screen(centers: list, sites: list[list], k: int) -> list[list[bool]]:
+    """keep[j][s]: whether site s, at z, may seed a k-gon around a = centers[j], from one array
+    pass: whether a + (z - a) exp(2 pi i / k), the seed turned by 2 pi / k, lies within
+    2 GROUP_RTOL (1 + |z - a|) of a site.  No power of z - a is formed, so any seed is judged."""
     locs = np.array([s[0] for s in sites], dtype=complex)
     a = np.array(centers, dtype=complex)[:, None]
-    r = np.abs(locs - a)
-    gaps = np.abs((a + (locs - a) * np.exp(1j * np.pi / d))[..., None] - locs).min(axis=-1)
-    return (~(gaps > 2 * GROUP_RTOL * (1.0 + r)) | (r > 1e150 ** (1.0 / d))).tolist()
+    gaps = np.abs((a + (locs - a) * np.exp(2j * np.pi / k))[..., None] - locs).min(axis=-1)
+    return (gaps <= 2 * GROUP_RTOL * (1.0 + np.abs(locs - a))).tolist()
 
 
-def _match_polygon(center: complex, sites: list[list], skip: int, d: int, keep: list[bool]):
-    """Find one regular 2d-gon of zeros around ``center``.
+def _match_polygon(center: complex, sites: list[list], skip: int, k: int, keep: list[bool]):
+    """Find one regular k-gon of zeros around ``center``.
 
-    Every candidate zero seeds a trial: its (z - center)**(2d) fixes an ideal
-    polygon of radius r, and each ideal vertex takes its nearest candidate,
-    the last one on a tie.  The first trial with every gap within
-    ``GROUP_RTOL * (1 + r)`` that uses no zero beyond its multiplicity is the
-    halo; the state residual decides whether it certifies a product.  Unlike
-    a greedy search that skips used zeros, this rejects a trial in which two
-    vertices share their nearest zero and tries the next seed; that needs
-    adjacent vertices within 2 tol, so r below about 1e-4 / sin(pi / 2d).
+    Every candidate zero z seeds a trial.  With w = z - center and r = |w|, its ideal vertices
+    are center + r exp(i (phase((w / r)**k) / k + 2 pi v / k)), v = 0..k-1: the k-th roots of
+    w**k, from the one at an angle in (-pi / k, pi / k].  Only the unit power (w / r)**k is
+    formed, so no trial overflows however far its seed lies.  Each vertex takes its nearest
+    candidate, the last one on a tie, from one k x C array of gaps.  The first trial with every
+    gap within tol = ``GROUP_RTOL * (1 + r)`` that uses no zero beyond its multiplicity is the
+    halo.  A greedy search would instead give a vertex a farther, unused zero; the two differ
+    only where adjacent vertices lie within 2 tol, so for r below 1e-4 / sin(pi / k).
 
-    Only seeds that ``keep``, this center's row of ``_screen``, passes are
-    tried, and that changes no result: a trial needs a candidate within tol of
-    each ideal vertex, the seed turned by pi / d is one of them up to roundoff
-    (about eps |center|, below tol), and the screen tests it on every site at 2 tol.
+    Only seeds that ``keep``, this center's row of ``_screen``, passes are tried, and that
+    changes no result: a trial needs a candidate within tol of each ideal vertex, the seed
+    turned by 2 pi / k is one of them up to roundoff (about eps (|center| + r), below tol),
+    and the screen tests it on every site at 2 tol.
 
-    Returns (site indices to consume, mean value, radius, phase) or None.
+    Returns (site indices to consume, mean of (z - center)**k, radius, phase) or None.
     """
     cand = [i for i, s in enumerate(sites) if s[1] >= 1 and i != skip]
     # candidate locations, last first, so that argmin takes the last of a tie
     locs = np.array([sites[i][0] for i in cand[::-1]], dtype=complex)
     for seed in (i for i in cand if keep[i]):
-        vs = (sites[seed][0] - center) ** (2 * d)
-        if vs == 0:
+        w = sites[seed][0] - center
+        r = abs(w)
+        if r == 0:
             continue
-        radius = abs(vs) ** (1.0 / (2 * d))
-        base = np.angle(vs) / (2 * d)
-        chosen: list[int] = []
-        for k in range(2 * d):
-            gaps = np.abs(locs - (center + radius * np.exp(1j * (base + k * np.pi / d))))
-            j = int(gaps.argmin())
-            if gaps[j] > GROUP_RTOL * (1.0 + radius):
-                break
-            chosen.append(cand[-1 - j])
-        else:
-            if all(chosen.count(i) <= sites[i][1] for i in chosen):
-                verts = [sites[i][0] for i in chosen]
-                w = np.array(verts, dtype=complex) - center
-                vbar = complex(np.mean([(z - center) ** (2 * d) for z in verts]))
-                phase = float(np.min(np.angle(w) % (2.0 * np.pi)))
-                return chosen, vbar, float(np.mean(np.abs(w))), phase
+        turns = 2 * np.pi * np.arange(k) / k
+        ideal = center + r * np.exp(1j * (np.angle((w / r) ** k) / k + turns))
+        gaps = np.abs(ideal[:, None] - locs)
+        fits = (gaps.min(axis=1) <= GROUP_RTOL * (1.0 + r)).all()
+        chosen = [cand[-1 - j] for j in gaps.argmin(axis=1).tolist()]
+        if fits and all(chosen.count(i) <= sites[i][1] for i in chosen):
+            offsets = np.array([sites[i][0] for i in chosen], dtype=complex) - center
+            vbar = complex(np.mean([(sites[i][0] - center) ** k for i in chosen]))
+            phase = float(np.min(np.angle(offsets) % (2.0 * np.pi)))
+            return chosen, vbar, float(np.mean(np.abs(offsets))), phase
     return None
 
 
@@ -228,14 +223,14 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
             off_center.append([z, m])
     sites = [[a, remaining[a]] for a in centers] + off_center
 
-    keep = _screen(centers, sites, d)
+    keep = _screen(centers, sites, 2 * d)
     halos = []
     for j, a in enumerate(centers):
         if sites[j][1] >= 2 * d:
             sites[j][1] -= 2 * d
             halos.append(Halo(a, "collapsed", (a,), 0j, 1 + 0j, None, None))
             continue
-        found = _match_polygon(a, sites, j, d, keep[j])
+        found = _match_polygon(a, sites, j, 2 * d, keep[j])
         if found is not None:
             chosen, vbar, radius, phase = found
             for i in chosen:
@@ -302,7 +297,10 @@ def field_separability(
     if not report.all_accounted():
         return False, ()
     basis = _basis(cfg)
-    numer, rec = basis.align(field), basis.recovery
+    # N times the power of two that brings its largest part into [0.5, 1): exact, so the
+    # scale-free rule below reads the same bits and no field's magnitude over- or underflows it
+    parts = basis.align(field).view(float)
+    numer, rec = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex), basis.recovery
     try:
         basis.recover(numer)  # only the span rule raises here
     except ValueError:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qubitflow import QubitState, defects, make_basis_state, qft, roots
+from qubitflow import GATES, QubitState, defects, make_basis_state, qft, roots
 from qubitflow.cli import build_parser, main
 
 
@@ -422,3 +422,94 @@ def test_analyze_equal_modulus_charge_field(tmp_path):
     zeros = json.loads(out.read_text())["defects"]["zeros"]
     assert len(zeros) == 24 and all(m == 1 for _, _, m in zeros)
     assert all(abs(abs(complex(re, im)) - 1.0) <= 1e-12 for re, im, _ in zeros)
+
+
+def _scaled(rng, size, low, high):
+    """``size`` complex normal values, all times one 10**U(low, high)."""
+    return (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(low, high)
+
+
+def _far(rng, size):
+    """``size`` complex normal values, each times its own 10**U(0, 300)."""
+    return [complex(_scaled(rng, 1, 0, 300)[0]) for _ in range(size)]
+
+
+def _pairs(values):
+    return [[v.real, v.imag] for v in np.asarray(values, dtype=complex).tolist()]
+
+
+def _gate(rng, n):
+    """A random circuit op; a two-qubit gate on one qubit gets one target, which is an input error."""
+    name = str(rng.choice(["QFT", "IQFT", "CP", *GATES]))
+    op = {"gate": name, "targets": (rng.permutation(n)[: 2 if name in ("CP", "CX", "CZ", "SWAP") else 1] + 1).tolist()}
+    if name == "CP":
+        op["theta"] = _scaled(rng, 1, -300, 300)[0].real
+    return op
+
+
+def _extreme_inputs(rng, tmp_path):
+    """One seeded draw of each input family.
+
+    Returns field documents (rational: coefficients times 10**U(-300, 300), each centre times its
+    own 10**U(0, 300); Laurent: exponents up to +-400), the argument list of a ``map`` of scaled
+    amplitudes, and those of ``gram --defects`` with far centres and of ``circuit --render``.
+    """
+    d, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    rational = {"type": "rational", "numerator": _pairs(_scaled(rng, int(rng.integers(1, 9)), -300, 300)),
+                "defects": _pairs(_far(rng, int(rng.integers(1, 4)))), "d": d}
+    exps = rng.choice(np.arange(-400, 401), size=int(rng.integers(1, 7)), replace=False).tolist()
+    laurent = {"type": "laurent", "terms": [list(t) for t in zip(exps, _pairs(_scaled(rng, len(exps), -300, 300)))]}
+    state, spec = tmp_path / "state.json", tmp_path / "circuit.json"
+    state.write_text(json.dumps({"n": n, "amplitudes": _pairs(_scaled(rng, 2**n, -300, 300))}))
+    ops = [_gate(rng, n) for _ in range(int(rng.integers(1, 4)))]
+    spec.write_text(json.dumps({"n": n, "init": "".join(rng.choice(["0", "1"], size=n)), "ops": ops}))
+    rep = ["--rep", "charge", "--d", d]
+    if rng.uniform() >= 0.5:
+        rep = ["--rep", "position", "--d", d, "--defects", *_far(rng, n)]
+    return (
+        [rational, laurent],
+        ["map", "--in", state, *rep],
+        [["gram", "--n", n, "--d", d, "--defects", *_far(rng, n)],
+         ["circuit", "--in", spec, *rep, "--render", tmp_path / "frames", "--res", "6,6", "--out", tmp_path / "c.json"]],
+    )
+
+
+FIELD_COMMANDS = (["analyze"], ["render", "--res", "6,6", "--svg", "-"], ["sphere", "--res", "4,4"])
+
+
+def _contract_run(capsys, argv) -> int:
+    """Run the CLI; the exit code must be 0, 2 or 3, with stderr empty on 0 and one message line otherwise."""
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert err.count("\n") == 1 and err.startswith(("error:", "numerical failure:")), (argv, err)
+    return code
+
+
+def run_extreme_inputs(capsys, tmp_path, rng, draws) -> list[int]:
+    """The exit codes of ``draws`` draws of ``_extreme_inputs`` through the CLI; more seeds and
+    draws make a longer run of the test below."""
+    field, codes = tmp_path / "field.json", []
+
+    def field_runs():
+        return [_contract_run(capsys, [cmd, "--in", field, *rest]) for cmd, *rest in FIELD_COMMANDS]
+
+    for _ in range(draws):
+        docs, mapping, others = _extreme_inputs(rng, tmp_path)
+        for doc in docs:
+            field.write_text(json.dumps(doc))
+            codes += field_runs()
+        codes.append(_contract_run(capsys, [*mapping, "--out", field]))
+        if codes[-1] == 0:
+            codes += field_runs()
+        codes += [_contract_run(capsys, argv) for argv in others]
+    return codes
+
+
+def test_extreme_inputs_exit_0_2_or_3_with_one_message_line(tmp_path, capsys):
+    # a zero far from a halo centre once raised OverflowError out of analyze and render (exit 1)
+    codes = run_extreme_inputs(capsys, tmp_path, np.random.default_rng(21), 12)
+    assert len(codes) > 100 and {0, 2, 3} <= set(codes)

@@ -271,22 +271,22 @@ def test_match_polygon_agrees_with_the_greedy_reference():
     for _ in range(300):
         centers, sites, d, count = _site_set(rng)
         planted += count
-        keep = _screen(centers, sites, d)
+        keep = _screen(centers, sites, 2 * d)
         for j, a in enumerate(centers):
             if sites[j][1] >= 2 * d:
                 sites[j][1] -= 2 * d
                 continue
             want = _greedy_match_polygon(a, sites, j, d)
-            assert _match_polygon(a, sites, j, d, keep[j]) == want
+            assert _match_polygon(a, sites, j, 2 * d, keep[j]) == want
             if want is not None:
                 found += 1
                 for i in want[0]:
                     sites[i][1] -= 1
     assert found == planted
     sites = [list(s) for s in TIE_SITES]
-    keep = _screen([0j], sites, 1)[0]
-    assert _match_polygon(0j, sites, 0, 1, keep) == _greedy_match_polygon(0j, sites, 0, 1)
-    assert _match_polygon(0j, sites, 0, 1, keep)[0] == [1, 3]
+    keep = _screen([0j], sites, 2)[0]
+    assert _match_polygon(0j, sites, 0, 2, keep) == _greedy_match_polygon(0j, sites, 0, 1)
+    assert _match_polygon(0j, sites, 0, 2, keep)[0] == [1, 3]
 
 
 def test_match_polygon_below_the_radius_bound_tries_the_next_seed():
@@ -294,7 +294,7 @@ def test_match_polygon_below_the_radius_bound_tries_the_next_seed():
     # greedy completes it with b, and the nearest-vertex rule moves on to seed b
     sites, (b, c) = [list(s) for s in SMALL_SITES], (SMALL_SITES[2][0], SMALL_SITES[3][0])
     assert _greedy_match_polygon(0j, sites, 0, 1)[0] == [1, 2]
-    chosen, _, radius, _ = _match_polygon(0j, sites, 0, 1, _screen([0j], sites, 1)[0])
+    chosen, _, radius, _ = _match_polygon(0j, sites, 0, 2, _screen([0j], sites, 2)[0])
     assert sorted(chosen) == [2, 3] and radius == pytest.approx((abs(b) + abs(c)) / 2)
 
 
@@ -309,16 +309,16 @@ def test_screen_drops_only_seeds_whose_walk_fails(seed):
     cases += [([0j], [list(s) for s in TIE_SITES], 1), ([0j], [list(s) for s in SMALL_SITES], 1)]
     found = dropped = 0
     for centers, sites, d in cases:
-        keep = _screen(centers, sites, d)
+        keep = _screen(centers, sites, 2 * d)
         for j, a in enumerate(centers):
             if sites[j][1] >= 2 * d:
                 sites[j][1] -= 2 * d
                 continue
-            want = _match_polygon(a, sites, j, d, _every_seed(sites))
-            assert _match_polygon(a, sites, j, d, keep[j]) == want
+            want = _match_polygon(a, sites, j, 2 * d, _every_seed(sites))
+            assert _match_polygon(a, sites, j, 2 * d, keep[j]) == want
             for s in np.flatnonzero(np.logical_not(keep[j])):
                 alone = [i == s for i in range(len(sites))]
-                assert _match_polygon(a, sites, j, d, alone) is None
+                assert _match_polygon(a, sites, j, 2 * d, alone) is None
                 dropped += 1
             if want is not None:
                 found += 1
@@ -327,10 +327,19 @@ def test_screen_drops_only_seeds_whose_walk_fails(seed):
     assert found > 300 and dropped > 1000
 
 
-def test_screen_keeps_the_seeds_whose_power_overflows():
-    # the walk's (z - a)**(2d) is finite for 1e100 and overflows for 1e200; the screen drops
-    # the first seed, whose turned point -1e100 lies near no site, and leaves the second to the walk
-    assert _screen([0j], [[0j, 0], [1e100 + 0j, 1], [1e200 + 0j, 1]], 1) == [[True, False, True]]
+def test_far_seeds_are_judged_without_forming_their_power(tmp_path, capsys):
+    # (z - a)**2 overflows for z - a = 1e200; the screen turns the seed instead, and the walk
+    # forms only the unit power ((z - a) / |z - a|)**2
+    sites = [[0j, 0], [1e100 + 0j, 1], [1e200 + 0j, 1]]
+    assert _screen([0j], sites, 2) == [[True, False, False]]
+    assert _match_polygon(0j, sites, 0, 2, [False, False, True]) is None
+    # zeros at -1 and 1 lie about 1e160 from the second centre: analyze once raised OverflowError
+    doc = {"type": "rational", "numerator": [[0, 0], [-1, 0], [1, 0]], "defects": [[0, 0], [1e160, 0]], "d": 1}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--in", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["separable"] is False
 
 
 def _families(rng, n):
@@ -358,7 +367,7 @@ def test_detect_halos_equals_the_unscreened_walk(n, monkeypatch):
     configs = [make_position_config(n)] + [make_position_config(n, d, centers) for d in (1, 2, 4)]
     cases = [(cfg, extract_defects(position_map(st, cfg))) for cfg in configs for st in _families(rng, n)]
     screened = [detect_halos(dset, cfg) for cfg, dset in cases]
-    monkeypatch.setattr(defects, "_screen", lambda centers, sites, d: [_every_seed(sites)] * len(centers))
+    monkeypatch.setattr(defects, "_screen", lambda centers, sites, k: [_every_seed(sites)] * len(centers))
     for (cfg, dset), got in zip(cases, screened):
         want = detect_halos(dset, cfg)
         assert got == want and repr(got) == repr(want)
@@ -369,9 +378,9 @@ def test_screen_leaves_generic_fields_no_seed_to_walk(monkeypatch):
     # before the walk at n = 2 and n = 4 (at n = 3 a seed or two slip through)
     walked, walk = [], defects._match_polygon
 
-    def spy(center, sites, skip, d, keep):
+    def spy(center, sites, skip, k, keep):
         walked.extend(i for i, s in enumerate(sites) if s[1] >= 1 and i != skip and keep[i])
-        return walk(center, sites, skip, d, keep)
+        return walk(center, sites, skip, k, keep)
 
     monkeypatch.setattr(defects, "_match_polygon", spy)
     rng = np.random.default_rng(11)
@@ -442,6 +451,22 @@ def test_detector_agrees_with_tensor_oracle():
             generic = random_state(rng, n)
             geo, _ = is_separable_geometric(generic, cfg)
             assert geo == is_separable_tensor(generic)
+
+
+@pytest.mark.parametrize("scale", [2.0**-900, 2.0**900, 1e-250, 1e250], ids=["2^-900", "2^900", "1e-250", "1e250"])
+def test_separability_does_not_depend_on_the_field_scale(scale):
+    # the rule is scale-free; numerators near 1e-271 once divided 0 by 0 in the product
+    # residual, and numerators near 1e271 overflowed it
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        cfg = make_position_config(n)
+        for st in (random_separable(rng, n), random_state(rng, n)):
+            f = position_map(st, cfg)
+            g = RationalField(Polynomial(f.numerator.coeffs * scale), f.denominator_spec)
+            got, want = field_separability(g, cfg), field_separability(f, cfg)
+            assert got[0] == want[0] == is_separable_tensor(st)
+            if scale in (2.0**-900, 2.0**900):
+                assert got == want
 
 
 def test_separability_rejects_zero_state():

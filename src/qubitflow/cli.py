@@ -214,6 +214,10 @@ def cmd_sphere(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # 14**(2**n) * n + 1 has floor(2**n log10(14) + log10(n)) + 1 digits, 2349 at n = 11 and 4696 at
+    # 12; past 4300 CPython 3.11+ prints no int (3.10 prints any), so such an n is refused up front
+    if args.n > 0 and 2.0 ** min(args.n, 64) * np.log10(14) + np.log10(args.n) >= 4300:
+        raise ValueError(f"--n {args.n}: the sufficient bound would have more than 4300 digits")
     out = {
         "n": args.n,
         "sufficient": fields_mod.sufficient_charge_bound(args.n),

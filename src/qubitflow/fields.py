@@ -276,7 +276,7 @@ class _Basis(tuple):
     def recovery(self) -> SimpleNamespace:
         m = self.rows.T
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = int(np.sum(s > RANK_RTOL * s[0]))
+        rank = _rank(s)
         pinv = (vh[:rank].conj().T / s[:rank]) @ u[:, :rank].conj().T
         pinv.setflags(write=False)
         cond = float(s[0] / s[-1]) if rank == m.shape[1] else np.inf
@@ -459,6 +459,11 @@ def _numerator_rows(fields, common=None) -> np.ndarray:
     return mat
 
 
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values ``s``, largest first: those above RANK_RTOL·s[0]."""
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
 def check_linear_independence(fields) -> tuple[bool, int]:
     """Numerical rank of a field list via singular values of a coefficient matrix.
 
@@ -467,7 +472,7 @@ def check_linear_independence(fields) -> tuple[bool, int]:
     """
     if not fields:
         raise ValueError("need at least one field")
-    rank = _Basis(fields).recovery.rank
+    rank = _rank(np.linalg.svd(_numerator_rows(fields).T, compute_uv=False))
     return rank == len(fields), rank
 
 

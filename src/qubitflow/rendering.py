@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from itertools import compress
 
@@ -30,26 +29,11 @@ POLE_KEEPOUT = 1e-9
 HALO_COLORS = ("red", "green", "blue", "brown")
 
 # Geometry that depends on a lattice and not on the field (points, their text, sphere nodes)
-# is computed once per lattice and kept here: at most _CACHE_SIZE lattices, oldest out first.
-# A lattice of more than _CACHE_POINTS points is built for its one call, so that its text
-# is not held after the call.
+# is built once per lattice and kept by its builder's lru_cache: _CACHE_SIZE lattices and
+# _CACHE_SIZE sphere grids.  A lattice of more than _CACHE_POINTS points is built by the
+# uncached ``__wrapped__`` for its one call, so that its text is not held after the call.
 _CACHE_SIZE = 8
 _CACHE_POINTS = 1 << 16
-_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
-def _cached(key, points: int, build):
-    """The value cached under ``key``, from ``build()`` on first use."""
-    value = _cache.get(key)
-    if value is None:
-        value = build()
-        if points <= _CACHE_POINTS:
-            with _cache_lock:
-                if key not in _cache and len(_cache) >= _CACHE_SIZE:
-                    del _cache[next(iter(_cache))]
-                value = _cache.setdefault(key, value)
-    return value
 
 
 def _near_pole(field, z: np.ndarray) -> np.ndarray:
@@ -96,15 +80,6 @@ class _Lattice:
         self.bbox, self.nx, self.ny, self.x, self.y = bbox, nx, ny, x, y
         self._canvas = None
 
-    @classmethod
-    def build(cls, bbox, nx, ny) -> _Lattice:
-        xmin, xmax, ymin, ymax = bbox
-        x = np.tile(np.linspace(xmin, xmax, nx), ny)
-        y = np.repeat(np.linspace(ymin, ymax, ny), nx)
-        for arr in (x, y):  # every grid of this lattice shares them
-            arr.setflags(write=False)
-        return cls(bbox, nx, ny, x, y)
-
     @functools.cached_property
     def z(self) -> np.ndarray:
         return self.x + 1j * self.y
@@ -123,19 +98,28 @@ class _Lattice:
         return canvas
 
 
-def _grid_key(bbox, nx, ny):
-    # bbox by bit pattern, so that an edge at -0.0 does not share the points of 0.0
-    return "grid", np.array(bbox, dtype=float).tobytes(), nx, ny
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lattice(key: bytes, nx: int, ny: int) -> _Lattice:
+    """The lattice of the bbox with float64 bytes ``key`` (by bit pattern, so that an edge at
+    -0.0 does not share the points of 0.0), with read-only points that all its grids share."""
+    bbox = tuple(np.frombuffer(key).tolist())
+    xmin, xmax, ymin, ymax = bbox
+    x = np.tile(np.linspace(xmin, xmax, nx), ny)
+    y = np.repeat(np.linspace(ymin, ymax, ny), nx)
+    for arr in (x, y):
+        arr.setflags(write=False)
+    return _Lattice(bbox, nx, ny, x, y)
 
 
 def _lattice_of(grid: FieldGrid) -> _Lattice:
-    """The cached lattice whose own arrays ``grid`` carries, else one over the grid's points.
-
-    The second is not cached, so a hand-built grid never prints another grid's points.
-    """
-    lattice = _cache.get(_grid_key(grid.bbox, grid.nx, grid.ny))
-    if lattice is not None and lattice.x is grid.x and lattice.y is grid.y:
-        return lattice
+    """The cached lattice whose own arrays ``grid`` carries, else an uncached one over the grid's
+    points, so that a hand-built grid never prints another grid's points.  Looking up a hand-built
+    grid, or one whose lattice has left the cache, builds and caches its bbox's lattice again:
+    only the points, since the text stays lazy."""
+    if grid.nx * grid.ny <= _CACHE_POINTS:
+        lattice = _lattice(np.array(grid.bbox, dtype=float).tobytes(), grid.nx, grid.ny)
+        if lattice.x is grid.x and lattice.y is grid.y:
+            return lattice
     return _Lattice(grid.bbox, grid.nx, grid.ny, grid.x, grid.y)
 
 
@@ -147,7 +131,8 @@ def sample_grid(field, bbox, resolution=(48, 48), clip: float = 10.0) -> FieldGr
     direction, and flagged as well.
     """
     bbox, (nx, ny) = _grid_spec(bbox, resolution, clip)
-    lattice = _cached(_grid_key(bbox, nx, ny), nx * ny, lambda: _Lattice.build(bbox, nx, ny))
+    build = _lattice if nx * ny <= _CACHE_POINTS else _lattice.__wrapped__
+    lattice = build(np.array(bbox, dtype=float).tobytes(), nx, ny)
     z = lattice.z
     gc = _near_pole(field, z)
     vals = eval_many(field, z[~gc])
@@ -176,12 +161,12 @@ def grid_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "x,y,u,v,clipped":
         raise ValueError("missing grid CSV header")
-    bad = [ln for ln in lines[1:] if ln.count(",") != 4]
+    bad = [ln for ln in lines[1:] if ln.count(",") != 4 or ln[-2:] not in (",0", ",1")]
     if bad:
         raise ValueError(f"bad CSV row: {bad[0]!r}")
     cols = list(zip(*(ln.split(",") for ln in lines[1:]))) or [()] * 5
     x, y, u, v = (np.array([float(t) for t in col]) for col in cols[:4])
-    return x, y, u, v, np.array([bool(int(t)) for t in cols[4]], dtype=bool)
+    return x, y, u, v, np.array([t == "1" for t in cols[4]], dtype=bool)
 
 
 def _fmt(x: float) -> str:
@@ -372,6 +357,7 @@ def sphere_tangent(field, theta: float, phi: float) -> SphereSample:
     return _SphereNodes(np.array([float(theta)]), np.array([float(phi)])).samples(field)[0]
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def _sphere_grid(n_theta: int, n_phi: int) -> _SphereNodes:
     theta = np.repeat(math.pi * np.arange(1, n_theta + 1) / n_theta, n_phi)
     phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta)
@@ -387,8 +373,8 @@ def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
     n_theta, n_phi = int(resolution[0]), int(resolution[1])
     if n_theta < 1 or n_phi < 1:
         raise ValueError("resolution must be at least 1 in each direction")
-    nodes = _cached(("sphere", n_theta, n_phi), n_theta * n_phi, lambda: _sphere_grid(n_theta, n_phi))
-    return nodes.samples(field, skip_poles=True)
+    build = _sphere_grid if n_theta * n_phi <= _CACHE_POINTS else _sphere_grid.__wrapped__
+    return build(n_theta, n_phi).samples(field, skip_poles=True)
 
 
 @dataclass(frozen=True)
@@ -418,7 +404,7 @@ def north_pole_classify(field) -> NorthPoleReport:
         category = "bounded-discontinuous"
     else:
         category = "diverges"
-    log_theta, w, inv_w, log_1mz, log_w = _cached(("north",), 25, _north_probe)
+    log_theta, w, inv_w, log_1mz, log_w = _north_probe()
     rev_abs = np.maximum(np.abs(horner(field.numerator.coeffs[::-1], inv_w)), 1e-300)
     den = sum(m * np.log(np.abs(1.0 - a / w)) for a, m in field.denominator_spec)
     log_mags = log_1mz + np.log(rev_abs) + degree * log_w - den
@@ -426,6 +412,7 @@ def north_pole_classify(field) -> NorthPoleReport:
     return NorthPoleReport(degree, category, slope)
 
 
+@functools.cache
 def _north_probe() -> tuple[np.ndarray, ...]:
     """The fit's 25 points at phi = 0.7: log theta, w, 1/w, log(1 - z) and log|w|."""
     thetas = np.logspace(-3, -1, 25)

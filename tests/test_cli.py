@@ -206,6 +206,17 @@ def test_bounds_subcommand(capsys):
     assert data["sufficient"] == 14**8 * 3 + 1
 
 
+def test_bounds_refuses_a_bound_past_4300_digits_on_every_python(capsys):
+    # the n = 11 bound has 2349 digits and prints; n = 12 has 4696, which only Python 3.10 prints
+    assert main(["bounds", "--n", "11"]) == 0
+    assert json.loads(capsys.readouterr().out)["sufficient"] == 14**2048 * 11 + 1
+    for n in ("12", "1000000"):  # refused before 14**(2**n) is computed
+        assert main(["bounds", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: --n {n}: ") and "4300 digits" in err
+        assert err.count("\n") == 1
+
+
 def test_checkli_subcommand(tmp_path, capsys):
     assert main(["checkli", "--n", "2", "--rep", "charge", "--d", "3"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -170,7 +170,8 @@ def test_sample_grid_is_pointwise_eval_with_clipping():
 def test_stereographic_project_is_sphere_tangent_per_sample():
     # At (4, 4) the node theta = pi/2, phi = 0 maps onto the centre 1 of make_position_config(3),
     # and the theta = pi row onto the charge pole at 0: those nodes are skipped.
-    rendering._cache.clear()
+    for cache in (rendering._lattice, rendering._sphere_grid, rendering._north_probe):
+        cache.cache_clear()
     for n_theta, n_phi in ((5, 6), (4, 4)):
         nodes = [
             (math.pi * i / n_theta, 2 * math.pi * k / n_phi)

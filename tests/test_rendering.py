@@ -236,9 +236,14 @@ WRITER_CASES = {
 WRITER_WIDTHS = {"charge-n3-wide": 9000}
 
 
+def _clear_caches():
+    for cache in (rendering._lattice, rendering._sphere_grid, rendering._north_probe):
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("case", list(WRITER_CASES))
 def test_writers_match_per_sample_reference(case):
-    rendering._cache.clear()
+    _clear_caches()
     grid, dset, report = WRITER_CASES[case]()
     width = WRITER_WIDTHS.get(case, 640)
     cold = render_svg(grid, dset, report, width=width), grid_to_csv(grid)
@@ -259,17 +264,21 @@ def test_writers_match_per_sample_reference(case):
 
 
 def test_lattice_cache_stays_at_its_bound():
+    _clear_caches()
     f = charge_map(_seeded_state(51, 2))
     first = sample_grid(f, (-1, 1, -1, 1), (3, 3))
+    caches = rendering._lattice, rendering._sphere_grid, rendering._north_probe
     for k in range(rendering._CACHE_SIZE + 3):
         grid = sample_grid(f, (-1, 1, -1, 1), (4 + k, 3))
         render_svg(grid), grid_to_csv(grid)
-        stereographic_project(f, (2, 3 + k))
-        assert len(rendering._cache) <= rendering._CACHE_SIZE
-    assert len(rendering._cache) == rendering._CACHE_SIZE
-    # a lattice past the point bound is not kept
+        stereographic_project(f, (2, 3 + k)), north_pole_classify(f)
+        assert all(c.cache_info().currsize <= rendering._CACHE_SIZE for c in caches)
+    assert [c.cache_info().currsize for c in caches] == [rendering._CACHE_SIZE] * 2 + [1]
+    # a lattice past the point bound is not kept, neither when sampled nor when printed
+    held = rendering._lattice.cache_info()
     big = sample_grid(f, (-1, 1, -1, 1), (rendering._CACHE_POINTS // 256 + 1, 256))
-    assert rendering._grid_key(big.bbox, big.nx, big.ny) not in rendering._cache
+    assert rendering._lattice_of(big).x is big.x
+    assert rendering._lattice.cache_info() == held
     # a grid whose lattice has left the cache prints its own points
     assert grid_to_csv(first) == _reference_csv(first)
     assert render_svg(first).splitlines()[2:-3] == _reference_arrows(first)
@@ -353,8 +362,9 @@ def test_csv_errors_name_the_fault():
         grid_from_csv("x,y,u,v,clipped\n1,2,3,4,0\n1,2,3\n")
     with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
         grid_from_csv("x,y,u,v,clipped\n1,a,3,4,0\n")
-    with pytest.raises(ValueError, match="invalid literal for int"):
-        grid_from_csv("x,y,u,v,clipped\n1,2,3,4,yes\n")
+    for flag in ("yes", "2", "-1", "07", "10", " 1"):
+        with pytest.raises(ValueError, match=f"bad CSV row: '1,2,3,4,{flag}'"):
+            grid_from_csv(f"x,y,u,v,clipped\n1,2,3,4,0\n1,2,3,4,{flag}\n")
 
 
 def test_svg_deterministic():

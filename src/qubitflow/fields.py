@@ -20,6 +20,7 @@ The physical velocity is read from a field value ``f`` as ``(u, v) =
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -28,7 +29,7 @@ from types import MappingProxyType, SimpleNamespace
 import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
-from .polynomials import Polynomial, _clears_trim, _trimmed_size, horner
+from .polynomials import Polynomial, horner
 from .states import FACTOR_SV_RTOL, QubitState, bits_of_index, complex_from_pair, int_from_json
 
 RANK_RTOL = 1e-9
@@ -45,6 +46,14 @@ _DEFAULT_POSITION_D = {1: 1, 2: 1, 3: 3, 4: 3}
 DEFAULT_CHARGE_D = 3
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RepresentationConfig:
     """How states are turned into fields: kind is 'charge' or 'position'."""
@@ -57,19 +66,22 @@ class RepresentationConfig:
     def __post_init__(self):
         if self.kind not in ("charge", "position"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
-        if self.n < 1:
+        n, d = _integer(self.n, "n"), _integer(self.d, "d")
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("d must be >= 1")
         defs = tuple(complex(a) for a in self.defects)
         for a in defs:
             if not cmath.isfinite(a):
                 raise ValueError(f"defect center {a} is not finite")
         if self.kind == "position":
-            if len(defs) != self.n:
-                raise ValueError(f"position map needs {self.n} defect centers")
+            if len(defs) != n:
+                raise ValueError(f"position map needs {n} defect centers")
             if len(set(defs)) != len(defs):
                 raise ValueError("defect centers must be distinct")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "defects", defs)
 
 
@@ -106,7 +118,13 @@ class LaurentField:
     terms: MappingProxyType
 
     def __post_init__(self):
-        terms = {int(c): complex(a) for c, a in self.terms.items() if a != 0}
+        try:
+            pairs = zip(map(operator.index, self.terms), map(complex, self.terms.values()))
+            terms = {c: a for c, a in pairs if a != 0}
+        except TypeError:
+            for c in self.terms:
+                _integer(c, "Laurent exponent")  # raises, naming the first exponent that is not an int
+            raise
         object.__setattr__(self, "terms", MappingProxyType(terms))
         for c, a in terms.items():
             if not cmath.isfinite(a):
@@ -148,7 +166,7 @@ class RationalField:
     denominator_spec: tuple[tuple[complex, int], ...]
 
     def __post_init__(self):
-        spec = tuple((complex(a), int(m)) for a, m in self.denominator_spec)
+        spec = tuple((complex(a), _integer(m, "pole order")) for a, m in self.denominator_spec)
         object.__setattr__(self, "denominator_spec", spec)
         for _, m in spec:
             if m < 1:
@@ -186,6 +204,7 @@ def field_from_dict(data: dict):
 
 def exponent(bits: str, d: int, offset: int = 0) -> int:
     """Signed base-d charge of a bit string: sum_j (2*sigma_j - 1) * d**(j-1+offset)."""
+    d, offset = _integer(d, "d"), _integer(offset, "offset")
     if d < 1:
         raise ValueError("d must be >= 1")
     if not bits or any(b not in "01" for b in bits):
@@ -195,6 +214,7 @@ def exponent(bits: str, d: int, offset: int = 0) -> int:
 
 def ternary_exponent(tau: str, d: int) -> int:
     """Charge of a variable-particle string over {0,1,2}; 1 means qubit absent."""
+    d = _integer(d, "d")
     if d < 1:
         raise ValueError("d must be >= 1")
     if not tau or any(t not in "012" for t in tau):
@@ -214,39 +234,20 @@ def charge_map(state: QubitState, d: int = DEFAULT_CHARGE_D) -> LaurentField:
 
 
 def position_map(state: QubitState, cfg: RepresentationConfig) -> RationalField:
-    """Numerator sum_sigma lambda_sigma prod_j (z - a_j)**(2*sigma_j*d).
+    """Numerator sum_sigma lambda_sigma prod_j (z - a_j)**(2*sigma_j*d), as N = M psi.
 
-    The nonzero terms lambda_sigma * (cached basis row sigma) are added in
-    index order into one array, and each term and each partial sum is
-    trimmed by ``Polynomial``'s rule, so the coefficients are bit for bit
-    those of adding ``Polynomial`` terms.  Past the partial sum's length the
-    array holds -0.0, IEEE's additive identity, so a longer term comes in
-    unchanged.  A bound from |lambda| * max|row| settles most trim tests
-    without a scan of the array.
+    N is each cached basis row times its amplitude, summed down the rows in
+    index order by numpy's own multiply and add, then trimmed once by
+    ``Polynomial``.  Not ``@``: BLAS would make its last bits depend on the
+    host.
     """
     if cfg.kind != "position":
         raise ValueError("position_map needs a position configuration")
     if cfg.n != state.n:
         raise ValueError(f"configuration is for {cfg.n} qubits, state has {state.n}")
     basis = _basis(cfg)
-    total, size, bound = basis.start.copy(), 1, 0.0  # the sum starts as Polynomial([0.0])
-    weights = (np.abs(state.amplitudes) * basis.row_scales).tolist()  # max |term coefficient|
-    for amp, weight, numer in zip(state.amplitudes.tolist(), weights, basis.numerators):
-        if amp == 0:
-            continue
-        term, bound = numer * amp, bound + weight
-        if not _clears_trim(term[-1], weight):
-            term = Polynomial(term).coeffs  # trimmed as Polynomial.scale trims it
-        total[: term.size] += term
-        width = max(size, term.size)
-        if _clears_trim(total[width - 1], bound):
-            size = width
-            continue
-        size = _trimmed_size(total[:width])
-        total[size:width] = complex(-0.0, -0.0)
-        if size == 0:
-            total[0], size = 0j, 1
-    return RationalField(Polynomial(total[:size]), basis[0].denominator_spec)
+    numer = (basis.rows * state.amplitudes[:, None]).sum(axis=0)
+    return RationalField(Polynomial(numer), basis[0].denominator_spec)
 
 
 def _basis(cfg: RepresentationConfig) -> "_Basis":
@@ -257,8 +258,9 @@ def _basis(cfg: RepresentationConfig) -> "_Basis":
 
 class _Basis(tuple):
     """Fields in index order.  ``rows``, built once, holds their numerators over the common
-    denominator as zero-padded rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv,
-    left inverse, condition and rank.  The other properties, also derived once, serve the maps,
+    denominator as zero-padded rows, so a position field is N = M psi, ``rows`` times psi summed
+    down the rows; ``recovery`` holds M = rows.T and, from one SVD, its pinv, left inverse,
+    condition and rank.  The other properties, also derived once, serve ``charge_map``,
     ``align`` and ``recover``."""
 
     @cached_property
@@ -266,11 +268,6 @@ class _Basis(tuple):
         rows = _numerator_rows(self)
         rows.setflags(write=False)
         return rows
-
-    @cached_property
-    def row_scales(self) -> np.ndarray:
-        """max |coefficient| of each row."""
-        return np.abs(self.rows).max(axis=1)
 
     @cached_property
     def recovery(self) -> SimpleNamespace:
@@ -308,18 +305,6 @@ class _Basis(tuple):
     @cached_property
     def width(self) -> int:
         return self.rows.shape[1]
-
-    @cached_property
-    def numerators(self) -> list[np.ndarray]:
-        return [f.numerator.coeffs for f in self]
-
-    @cached_property
-    def start(self) -> np.ndarray:
-        """Polynomial([0.0]) padded to the width with -0.0, IEEE's additive identity."""
-        start = np.full(self.width, complex(-0.0, -0.0))
-        start[0] = 0j
-        start.setflags(write=False)
-        return start
 
     @cached_property
     def exponents(self) -> list[int]:

@@ -147,16 +147,6 @@ def _trimmed_size(c: np.ndarray) -> int:
     return int(np.flatnonzero(mags > TRIM_REL_TOL * scale)[-1]) + 1
 
 
-def _clears_trim(top: complex, bound: float) -> bool:
-    """Whether ``_trimmed_size`` keeps the last coefficient ``top`` of a sum of scaled rows.
-
-    ``bound`` is the sum of |scale| * max|row| over the sum's terms.  The
-    margins cover the roundoff of the products and the sums, subnormal ones
-    included, so True is certain; on False, ``_trimmed_size`` decides.
-    """
-    return abs(top) > TRIM_REL_TOL * (bound * (1 + 1e-9) + 1e-300)
-
-
 def horner(coeffs: np.ndarray, z):
     """Values at ``z``, a point or an array, of the polynomial with ascending ``coeffs``."""
     # each product's cross term is exactly zero, so a fused multiply-add rounds it the same

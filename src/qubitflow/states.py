@@ -90,6 +90,8 @@ def bits_of_index(index: int, n: int) -> str:
 
 
 def make_basis_state(n: int, bits: str) -> QubitState:
+    if n < 1:
+        raise ValueError("need at least one qubit")
     amps = np.zeros(2**n, dtype=complex)
     amps[index_of_bits(bits, n)] = 1.0
     return QubitState(n, amps)

@@ -166,6 +166,16 @@ def test_circuit_rejects_a_count_or_target_that_is_not_an_integer(tmp_path, caps
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["state", "circuit"])
+def test_a_register_of_no_qubits_exits_2_with_one_line(tmp_path, capsys, command):
+    circuit = tmp_path / "empty.json"
+    circuit.write_text(json.dumps({"n": 0, "ops": []}))
+    argv = {"state": ["state", "--basis", ""], "circuit": ["circuit", "--in", str(circuit)]}[command]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: need at least one qubit\n"
+
+
 def test_render_csv_svg(tmp_path):
     state_path = tmp_path / "state.json"
     field_path = tmp_path / "field.json"

@@ -291,6 +291,43 @@ def test_config_validation():
         position_map(make_basis_state(3, "000"), make_position_config(2))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LaurentField({1.5: 1.0}), "Laurent exponent must be an integer, got 1.5"),
+        (lambda: LaurentField({2.0: 1.0}), "Laurent exponent must be an integer, got 2.0"),
+        (lambda: LaurentField({1.5: 0.0}), "Laurent exponent must be an integer, got 1.5"),
+        (lambda: RationalField(Polynomial([1.0]), ((0j, 1.7),)), "pole order must be an integer, got 1.7"),
+        (lambda: make_charge_config(2, 2.5), "d must be an integer, got 2.5"),
+        (lambda: charge_map(make_basis_state(2, "01"), 2.5), "d must be an integer, got 2.5"),
+        (lambda: RepresentationConfig("position", 2, 1.5, (1, -1)), "d must be an integer, got 1.5"),
+        (lambda: RepresentationConfig("charge", 2.0, 3), "n must be an integer, got 2.0"),
+        (lambda: exponent("01", 2.5), "d must be an integer, got 2.5"),
+        (lambda: exponent("01", 3, 0.5), "offset must be an integer, got 0.5"),
+        (lambda: ternary_exponent("02", 3.0), "d must be an integer, got 3.0"),
+    ],
+    ids=["laurent", "laurent-whole-float", "laurent-zero-term", "pole-order", "charge-config", "charge-map",
+         "position-config", "config-n", "exponent-d", "exponent-offset", "ternary-d"],
+)
+def test_counts_exponents_and_pole_orders_must_be_integers(build, message):
+    # before, int() truncated each of these silently: charge_map(|01>, 2.5) gave {1: 1}
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_numpy_integers_stay_accepted():
+    i64, i32 = np.int64, np.int32
+    cfg = RepresentationConfig("position", i64(2), i32(1), (1, -1))
+    assert (cfg.n, cfg.d) == (2, 1) and type(cfg.n) is int and type(cfg.d) is int
+    assert cfg == RepresentationConfig("position", 2, 1, (1, -1))
+    assert hash(cfg) == hash(RepresentationConfig("position", 2, 1, (1, -1)))
+    assert dict(LaurentField({i64(3): 1.0}).terms) == {3: 1.0}
+    assert RationalField(Polynomial([1.0]), ((0j, i32(2)),)).denominator_spec == ((0j, 2),)
+    assert dict(charge_map(make_basis_state(2, "01"), i64(3)).terms) == {2: 1.0}
+    assert exponent("01", i64(3), i32(1)) == 6 and ternary_exponent("02", i64(3)) == 2
+
+
 def test_non_finite_field_input_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         LaurentField({1: complex(np.nan, 0.0)})

@@ -43,6 +43,14 @@ def test_basis_state_validation():
         QubitState(2, np.ones(3))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_basis_state_of_no_qubits_says_so(n):
+    # before, n = 0 parsed '' as binary and failed with "invalid literal for int()"
+    with pytest.raises(ValueError) as exc:
+        make_basis_state(n, "")
+    assert str(exc.value) == "need at least one qubit"
+
+
 def test_gate_unitarity_enforced():
     with pytest.raises(ValueError):
         Gate("bad", np.array([[1.0, 0.0], [0.0, 2.0]]))

@@ -133,7 +133,7 @@ def cmd_gram(args) -> int:
 
 def cmd_circuit(args) -> int:
     spec = json.loads(_read_text(args.infile))
-    n = states.int_from_json(spec["n"], "n")
+    n = states.checked_int(spec["n"], "n")
     if args.render is not None:
         if args.rep is None:
             raise ValueError("--render needs --rep")
@@ -142,7 +142,7 @@ def cmd_circuit(args) -> int:
     history = [("init", (), st)]
     for op in spec["ops"]:
         name = op["gate"].upper()
-        targets = tuple(states.int_from_json(t, "target") for t in op.get("targets", ()))
+        targets = tuple(states.checked_int(t, "target") for t in op.get("targets", ()))
         if name == "QFT":
             st = states.qft(st)
         elif name == "IQFT":
@@ -333,7 +333,10 @@ def main(argv=None) -> int:
     except QubitFlowError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)  # str of a KeyError is its key's repr
+        return 2
+    except (ValueError, TypeError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

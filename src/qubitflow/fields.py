@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import PoleEvaluationError, QubitFlowError
 from .polynomials import Polynomial, horner
-from .states import FACTOR_SV_RTOL, QubitState, bits_of_index, complex_from_pair, int_from_json
+from .states import FACTOR_SV_RTOL, QubitState, bits_of_index, checked_int, complex_from_pair
 
 RANK_RTOL = 1e-9
 
@@ -46,14 +46,6 @@ _DEFAULT_POSITION_D = {1: 1, 2: 1, 3: 3, 4: 3}
 DEFAULT_CHARGE_D = 3
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; Python and numpy integers pass, anything else raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class RepresentationConfig:
     """How states are turned into fields: kind is 'charge' or 'position'."""
@@ -66,11 +58,7 @@ class RepresentationConfig:
     def __post_init__(self):
         if self.kind not in ("charge", "position"):
             raise ValueError(f"unknown representation kind {self.kind!r}")
-        n, d = _integer(self.n, "n"), _integer(self.d, "d")
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        n, d = checked_int(self.n, "n", 1), checked_int(self.d, "d", 1)
         defs = tuple(complex(a) for a in self.defects)
         for a in defs:
             if not cmath.isfinite(a):
@@ -119,11 +107,13 @@ class LaurentField:
 
     def __post_init__(self):
         try:
+            if bool in map(type, self.terms):  # operator.index would read True as 1
+                raise TypeError
             pairs = zip(map(operator.index, self.terms), map(complex, self.terms.values()))
             terms = {c: a for c, a in pairs if a != 0}
         except TypeError:
             for c in self.terms:
-                _integer(c, "Laurent exponent")  # raises, naming the first exponent that is not an int
+                checked_int(c, "Laurent exponent")  # raises, naming the first exponent that is not an int
             raise
         object.__setattr__(self, "terms", MappingProxyType(terms))
         for c, a in terms.items():
@@ -166,7 +156,7 @@ class RationalField:
     denominator_spec: tuple[tuple[complex, int], ...]
 
     def __post_init__(self):
-        spec = tuple((complex(a), _integer(m, "pole order")) for a, m in self.denominator_spec)
+        spec = tuple((complex(a), checked_int(m, "pole order")) for a, m in self.denominator_spec)
         object.__setattr__(self, "denominator_spec", spec)
         for _, m in spec:
             if m < 1:
@@ -190,13 +180,13 @@ class RationalField:
 def field_from_dict(data: dict):
     kind = data.get("type")
     if kind == "laurent":
-        terms = {int_from_json(c, "Laurent exponent"): complex_from_pair(a) for c, a in data["terms"]}
+        terms = {checked_int(c, "Laurent exponent"): complex_from_pair(a) for c, a in data["terms"]}
         if len(terms) < len(data["terms"]):
             raise ValueError("repeated Laurent exponent")
         return LaurentField(terms)
     if kind == "rational":
         numer = Polynomial([complex_from_pair(c) for c in data["numerator"]])
-        d = int_from_json(data["d"], "d")
+        d = checked_int(data["d"], "d")
         spec = tuple((complex_from_pair(a), d) for a in data["defects"])
         return RationalField(numer, spec)
     raise ValueError(f"unknown field type {kind!r}")
@@ -204,9 +194,7 @@ def field_from_dict(data: dict):
 
 def exponent(bits: str, d: int, offset: int = 0) -> int:
     """Signed base-d charge of a bit string: sum_j (2*sigma_j - 1) * d**(j-1+offset)."""
-    d, offset = _integer(d, "d"), _integer(offset, "offset")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d, offset = checked_int(d, "d", 1), checked_int(offset, "offset")
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"expected a nonempty bit string, got {bits!r}")
     return sum((2 * int(b) - 1) * d ** (j + offset) for j, b in enumerate(bits))
@@ -214,9 +202,7 @@ def exponent(bits: str, d: int, offset: int = 0) -> int:
 
 def ternary_exponent(tau: str, d: int) -> int:
     """Charge of a variable-particle string over {0,1,2}; 1 means qubit absent."""
-    d = _integer(d, "d")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = checked_int(d, "d", 1)
     if not tau or any(t not in "012" for t in tau):
         raise ValueError(f"expected a nonempty ternary string, got {tau!r}")
     if set(tau) == {"1"}:
@@ -331,7 +317,7 @@ def _build_basis(cfg: RepresentationConfig, centers_key: bytes) -> _Basis:
     return _Basis(RationalField(Polynomial.from_linear_factors(f), spec) for f in factors)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: d = 3.0 or True must reach the config's check
 def _charge_basis(n: int, d: int) -> _Basis:
     return _basis(make_charge_config(n, d))
 
@@ -495,15 +481,13 @@ def nonsingularity_gap(matrix: np.ndarray, sweeps: int = 50) -> float:
 
 def sufficient_charge_bound(n: int) -> int:
     """An exponent base large enough that all 3**n - 1 charges are distinct."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_int(n, "n", 1)
     return 14 ** (2**n) * n + 1
 
 
 def necessary_charge_bound(n: int) -> int:
     """Smallest d with 2*k*d + 1 >= sum_{j<=k} C(n,j) for every k in 1..n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_int(n, "n", 1)
     best = 1
     total = 0
     for k in range(1, n + 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError
-from .fields import LaurentField, RepresentationConfig, _basis, _numerator_rows
+from .fields import LaurentField, RepresentationConfig, _basis
 # derivative_eval is not called here; perfbench's tracer wraps it in every namespace that holds it
 from .polynomials import _factorials, derivative_eval, wronskian_matrix  # noqa: F401
 
@@ -151,7 +151,7 @@ def gram_norm(field, ctx: GramContext) -> float:
 
 
 def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None = None) -> complex:
-    """The coefficient overlap sum_c conj(a_c) b_c of two Laurent fields.
+    """The coefficient overlap sum_c conj(a_c) b_c of two Laurent fields, over the terms they share.
 
     It equals the average of conj(f1) * f2 over ``nodes`` uniform points on
     the unit circle when they exceed twice the largest |exponent|; fewer are
@@ -159,9 +159,8 @@ def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None =
     """
     if not isinstance(f1, LaurentField) or not isinstance(f2, LaurentField):
         raise ValueError("the circle inner product is defined for Laurent fields")
-    max_exp = max(f1.max_abs_exponent(), f2.max_abs_exponent())
-    required = 2 * max_exp + 1
-    if nodes is not None and nodes < required:
-        raise ValueError(f"need at least {required} nodes for exponents up to {max_exp}")
-    rows = _numerator_rows([f1, f2])
-    return complex(np.vdot(rows[0], rows[1]))
+    if nodes is not None:
+        max_exp = max(f1.max_abs_exponent(), f2.max_abs_exponent())
+        if nodes < 2 * max_exp + 1:
+            raise ValueError(f"need at least {2 * max_exp + 1} nodes for exponents up to {max_exp}")
+    return complex(sum(a.conjugate() * f2.terms[c] for c, a in f1.terms.items() if c in f2.terms))

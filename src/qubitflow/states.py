@@ -24,14 +24,16 @@ class QubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
+        n = checked_int(self.n, "n")
+        if n < 1:
             raise ValueError("need at least one qubit")
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # the one copy
-        if amps.size != 2**self.n:
-            raise ValueError(f"expected {2**self.n} amplitudes, got {amps.size}")
+        if amps.size != 2**n:
+            raise ValueError(f"expected {2**n} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
             raise ValueError(f"non-finite amplitude {amps[~np.isfinite(amps)][0]}")
         amps.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
@@ -58,7 +60,7 @@ class QubitState:
     @classmethod
     def from_dict(cls, data: dict) -> "QubitState":
         amps = [complex_from_pair(a) for a in data["amplitudes"]]
-        return cls(int_from_json(data["n"], "n"), np.array(amps))
+        return cls(data["n"], np.array(amps))
 
 
 def complex_from_pair(pair) -> complex:
@@ -72,11 +74,14 @@ def complex_from_pair(pair) -> complex:
     return value
 
 
-def int_from_json(value, name: str) -> int:
-    """A JSON integer; a float, a bool or a string is rejected rather than rounded."""
-    if not isinstance(value, int) or isinstance(value, bool):
+def checked_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int: Python and numpy integers pass; a bool, a float or a string
+    raises ValueError rather than being read as a number, and so does one below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 def index_of_bits(bits: str, n: int) -> int:
@@ -90,6 +95,7 @@ def bits_of_index(index: int, n: int) -> str:
 
 
 def make_basis_state(n: int, bits: str) -> QubitState:
+    n = checked_int(n, "n")
     if n < 1:
         raise ValueError("need at least one qubit")
     amps = np.zeros(2**n, dtype=complex)
@@ -99,6 +105,7 @@ def make_basis_state(n: int, bits: str) -> QubitState:
 
 def make_named_state(name: str, n: int) -> QubitState:
     """Common entangled states by name: ghz, w, bell00/01 with +/- sign."""
+    n = checked_int(n, "n")
     key = name.lower()
     if key == "ghz":
         if n < 2:
@@ -183,7 +190,7 @@ def cphase(theta: float) -> Gate:
 
 def apply_gate(state: QubitState, gate: Gate, targets) -> QubitState:
     """Apply ``gate`` to the 1-based qubit positions in ``targets``."""
-    targets = list(targets)
+    targets = [checked_int(t, "target") for t in targets]
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.label!r} needs {gate.arity} targets, got {len(targets)}")
     if len(set(targets)) != len(targets):
@@ -219,6 +226,7 @@ def factor_out_qubit(state: QubitState, target: int) -> tuple[QubitState, QubitS
     Raises ``ValueError`` when the target qubit is entangled with the rest,
     judged by the second singular value of the 2 x 2^(n-1) reshape.
     """
+    target = checked_int(target, "target")
     if state.n < 2:
         raise ValueError("need at least two qubits to factor")
     if not 1 <= target <= state.n:
@@ -244,14 +252,15 @@ class OracleTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.in_bits < 1 or self.out_bits < 1:
+        in_bits, out_bits = checked_int(self.in_bits, "in_bits"), checked_int(self.out_bits, "out_bits")
+        if in_bits < 1 or out_bits < 1:
             raise ValueError("in_bits and out_bits must be >= 1")
-        vals = tuple(int(v) for v in self.values)
-        if len(vals) != 2**self.in_bits:
-            raise ValueError(f"expected {2**self.in_bits} table entries, got {len(vals)}")
+        vals = tuple(checked_int(v, "table value") for v in self.values)
+        if len(vals) != 2**in_bits:
+            raise ValueError(f"expected {2**in_bits} table entries, got {len(vals)}")
         for v in vals:
-            if not 0 <= v < 2**self.out_bits:
-                raise ValueError(f"table value {v} exceeds {self.out_bits}-bit capacity")
+            if not 0 <= v < 2**out_bits:
+                raise ValueError(f"table value {v} exceeds {out_bits}-bit capacity")
         object.__setattr__(self, "values", vals)
 
 

@@ -176,6 +176,20 @@ def test_a_register_of_no_qubits_exits_2_with_one_line(tmp_path, capsys, command
     assert out.out == "" and out.err == "error: need at least one qubit\n"
 
 
+@pytest.mark.parametrize("command, document, key", [
+    ("circuit", {"n": 2, "ops": [{"gate": "CP", "targets": [1, 2]}]}, "theta"),
+    ("circuit", {"ops": []}, "n"),
+    ("analyze", {"type": "rational", "defects": [[0, 0]], "d": 1}, "numerator"),
+    ("map", {"n": 1}, "amplitudes"),
+], ids=["circuit-theta", "circuit-n", "analyze-numerator", "map-amplitudes"])
+def test_a_missing_json_key_names_itself(tmp_path, capsys, command, document, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--in", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: missing key '{key}'\n"
+
+
 def test_render_csv_svg(tmp_path):
     state_path = tmp_path / "state.json"
     field_path = tmp_path / "field.json"

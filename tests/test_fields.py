@@ -305,15 +305,35 @@ def test_config_validation():
         (lambda: exponent("01", 2.5), "d must be an integer, got 2.5"),
         (lambda: exponent("01", 3, 0.5), "offset must be an integer, got 0.5"),
         (lambda: ternary_exponent("02", 3.0), "d must be an integer, got 3.0"),
+        (lambda: RepresentationConfig("charge", True, 3), "n must be an integer, got True"),
+        (lambda: make_charge_config(2, True), "d must be an integer, got True"),
+        (lambda: LaurentField({True: 1.0}), "Laurent exponent must be an integer, got True"),
+        (lambda: LaurentField({2: 1.0, np.True_: 1.0}), "Laurent exponent must be an integer, got np.True_"),
+        (lambda: RationalField(Polynomial([1.0]), ((0j, True),)), "pole order must be an integer, got True"),
+        (lambda: exponent("01", True), "d must be an integer, got True"),
+        (lambda: ternary_exponent("02", True), "d must be an integer, got True"),
+        (lambda: sufficient_charge_bound(2.0), "n must be an integer, got 2.0"),
+        (lambda: necessary_charge_bound(True), "n must be an integer, got True"),
     ],
     ids=["laurent", "laurent-whole-float", "laurent-zero-term", "pole-order", "charge-config", "charge-map",
-         "position-config", "config-n", "exponent-d", "exponent-offset", "ternary-d"],
+         "position-config", "config-n", "exponent-d", "exponent-offset", "ternary-d", "config-n-bool",
+         "charge-config-bool", "laurent-bool", "laurent-numpy-bool", "pole-order-bool", "exponent-d-bool",
+         "ternary-d-bool", "sufficient-bound-float", "necessary-bound-bool"],
 )
 def test_counts_exponents_and_pole_orders_must_be_integers(build, message):
-    # before, int() truncated each of these silently: charge_map(|01>, 2.5) gave {1: 1}
+    # before, int() truncated each of these silently: charge_map(|01>, 2.5) gave {1: 1}; and
+    # operator.index read True as 1, so make_charge_config(2, True) had d = 1
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", [3.0, True])
+def test_charge_map_checks_d_even_where_an_equal_int_is_cached(d):
+    state = make_basis_state(2, "01")
+    charge_map(state, int(d))  # lru_cache keys 3.0 and True like 3 and 1 unless typed
+    with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
+        charge_map(state, d)
 
 
 def test_numpy_integers_stay_accepted():

@@ -16,6 +16,7 @@ from qubitflow import (
     derivative_eval,
     gram_norm,
     inner,
+    make_basis_state,
     make_charge_config,
     make_named_state,
     make_position_config,
@@ -204,6 +205,74 @@ def test_circle_aliasing_shows_below_minimum():
     f = LaurentField({4: 1.0})
     g = LaurentField({-4: 1.0})
     assert abs(circle_inner_product(f, g)) < 1e-12
+
+
+def dense_overlap(f1, f2):
+    """The circle product the long way: both numerators as dense rows over one denominator."""
+    rows = _numerator_rows([f1, f2])
+    return complex(np.vdot(rows[0], rows[1]))
+
+
+def overlap_scale(f1, f2):
+    return sum(abs(a) * abs(f2.terms[c]) for c, a in f1.terms.items() if c in f2.terms)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 5))
+def test_circle_product_is_the_term_overlap_of_seeded_charge_pairs(n, d):
+    # at d = 1 charge_map merges exponents, so the fields are no longer one term per amplitude
+    rng = np.random.default_rng(100 * n + d)
+    eps = np.finfo(float).eps
+    for _ in range(5):
+        f, g = (charge_map(random_state(rng, n), d) for _ in range(2))
+        got = circle_inner_product(f, g)
+        assert type(got) is complex
+        assert abs(got - dense_overlap(f, g)) <= 4 * eps * overlap_scale(f, g)
+        c = complex(*rng.normal(size=2))
+        scaled = LaurentField({e: c * a for e, a in f.terms.items()})
+        bound = 4 * eps * abs(c) * overlap_scale(f, g)
+        assert abs(circle_inner_product(scaled, g) - c.conjugate() * got) <= bound
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ({-5: 1 - 2j, -1: 0.5, 3: 2j}, {-5: 3.0, 0: 1.0, 3: -1 + 1j}),  # negative exponents, partly shared
+        ({-3: 1.0, 2: 1j}, {-2: 1.0, 3: 4.0}),  # disjoint supports
+        ({7: 2 - 1j}, {7: 0.5 + 3j}),  # one shared term
+        ({-9: 1.0}, {9: 1.0}),  # one term each, mirrored
+        ({0: 1.0}, {-1: 1.0, 0: 1j, 1: 1.0}),
+    ],
+    ids=["negative", "disjoint", "single", "mirrored", "constant"],
+)
+def test_circle_product_on_hand_built_supports(f, g):
+    f, g = LaurentField(f), LaurentField(g)
+    want = sum((np.conj(a) * g.terms[c] for c, a in f.terms.items() if c in g.terms), 0j)
+    assert circle_inner_product(f, g) == want
+    bound = 4 * np.finfo(float).eps * overlap_scale(f, g)
+    assert abs(circle_inner_product(f, g) - dense_overlap(f, g)) <= bound
+    if not set(f.terms) & set(g.terms):
+        assert circle_inner_product(f, g) == 0j and circle_inner_product(g, f) == 0j
+
+
+def test_circle_product_keeps_a_term_the_dense_numerator_trims():
+    # |000> + 1e-16 |111> against |111> at charge n = 3, d = 3: the overlap is 1e-16, but the
+    # z**13 term sits below 1e-14 of the largest coefficient, so a dense numerator drops it
+    a = np.zeros(8, dtype=complex)
+    a[0], a[7] = 1.0, 1e-16
+    f, g = charge_map(QubitState(3, a), 3), charge_map(make_basis_state(3, "111"), 3)
+    assert dense_overlap(f, g) == 0j
+    assert circle_inner_product(f, g) == 1e-16
+
+
+def test_circle_nodes_are_checked_only_when_given():
+    f, g = LaurentField({40: 1.0, -3: 2.0}), LaurentField({-3: 1j})
+    assert circle_inner_product(f, g) == 2j
+    assert circle_inner_product(f, g, nodes=81) == 2j
+    with pytest.raises(ValueError, match="need at least 81 nodes for exponents up to 40"):
+        circle_inner_product(f, g, nodes=80)
+    with pytest.raises(ValueError, match="need at least 81 nodes"):
+        circle_inner_product(g, f, nodes=12)
 
 
 def test_circle_rejects_rational_fields():

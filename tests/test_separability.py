@@ -138,3 +138,16 @@ def test_skewed_product_keeps_its_zeros():
     assert is_separable_tensor(st)
     assert position_map(st, cfg).numerator.degree == 18
     assert is_separable_geometric(st, cfg)[0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="with centres near 1e8 the basis numerators reach 1e48: Polynomial's relative trim "
+    "cuts each to degree <= 1 and RANK_RTOL against those entries leaves rank 1 of 8, a span "
+    "that no longer holds the field of |000>",
+)
+def test_far_centre_basis_state_reads_as_a_product():
+    cfg = make_position_config(3, 1, (1e8, 1e8j, -1e8))
+    st = make_basis_state(3, "000")
+    assert is_separable_tensor(st)
+    assert field_separability(position_map(st, cfg), cfg)[0]

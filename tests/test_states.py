@@ -16,7 +16,7 @@ from qubitflow import (
     shor_period_find,
     tensor,
 )
-from qubitflow.states import Gate, _qft_prefix, bits_of_index, index_of_bits
+from qubitflow.states import Gate, OracleTable, _qft_prefix, bits_of_index, index_of_bits
 
 
 def random_state(rng, n):
@@ -49,6 +49,47 @@ def test_basis_state_of_no_qubits_says_so(n):
     with pytest.raises(ValueError) as exc:
         make_basis_state(n, "")
     assert str(exc.value) == "need at least one qubit"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QubitState(2.0, np.ones(4)), "n must be an integer, got 2.0"),
+        (lambda: QubitState(True, np.ones(2)), "n must be an integer, got True"),
+        (lambda: make_basis_state(2.0, "00"), "n must be an integer, got 2.0"),
+        (lambda: make_named_state("ghz", 3.0), "n must be an integer, got 3.0"),
+        (lambda: apply_gate(make_basis_state(2, "00"), GATES["H"], [1.0]),
+         "target must be an integer, got 1.0"),
+        (lambda: apply_gate(make_basis_state(2, "00"), GATES["CX"], [1, True]),
+         "target must be an integer, got True"),
+        (lambda: factor_out_qubit(make_basis_state(2, "00"), 1.0), "target must be an integer, got 1.0"),
+        (lambda: OracleTable(1, 1, (0.7, 1)), "table value must be an integer, got 0.7"),
+        (lambda: OracleTable(1.0, 1, (0, 1)), "in_bits must be an integer, got 1.0"),
+        (lambda: OracleTable(1, True, (0, 1)), "out_bits must be an integer, got True"),
+        (lambda: deutsch_jozsa([0, 1, 1, 0], in_bits=2.0), "in_bits must be an integer, got 2.0"),
+    ],
+    ids=["state-n", "state-n-bool", "basis-n", "named-n", "gate-target", "gate-target-bool",
+         "factor-target", "table-value", "table-in-bits", "table-out-bits", "deutsch-jozsa-in-bits"],
+)
+def test_counts_targets_and_table_values_must_be_integers(build, message):
+    # before, QubitState(2.0, ...) kept n = 2.0, OracleTable rounded 0.7 to 0, and a float
+    # target failed later with a bare TypeError
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_numpy_integer_counts_and_targets_become_ints():
+    i64 = np.int64
+    st = QubitState(i64(2), np.ones(4))
+    assert type(st.n) is int and st.to_dict()["n"] == 2
+    assert type(make_basis_state(i64(2), "01").n) is int
+    flipped = apply_gate(make_basis_state(2, "00"), GATES["X"], [i64(2)])
+    assert flipped.amplitudes[1] == 1.0
+    rest, _ = factor_out_qubit(flipped, i64(1))
+    assert rest.n == 1
+    assert OracleTable(i64(1), 1, np.array([1, 0])).values == (1, 0)
+    assert all(type(v) is int for v in OracleTable(1, 1, np.array([1, 0])).values)
 
 
 def test_gate_unitarity_enforced():

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RationalField, RepresentationConfig, _basis, _poles, position_map
-from .polynomials import _EPS, Polynomial, roots
+from .polynomials import _order, roots
 from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
 CENTER_MATCH_RTOL = 1e-9
 GROUP_RTOL = 1e-4
-DEFLATION_GUARD = 64.0
 
 
 @dataclass(frozen=True)
@@ -53,22 +52,6 @@ class DefectSet:
         }
 
 
-def _deflate_center(coeffs: np.ndarray, center: complex) -> tuple[np.ndarray, int]:
-    """Divide out (z - center) while p(center) is finite and at roundoff level; one synthetic
-    division gives the quotient, p(center) and its bound err = |b| + |center| err, times eps."""
-    count, az = 0, abs(center)
-    with np.errstate(all="ignore"):
-        while coeffs.size > 1:
-            acc, err, b = 0j, 0.0, np.empty(coeffs.size, dtype=complex)
-            for i in range(coeffs.size - 1, -1, -1):
-                acc = b[i] = coeffs[i] + acc * center
-                err = abs(acc) + az * err
-            if not abs(acc) <= DEFLATION_GUARD * max(err * _EPS, 1e-300) < np.inf:
-                break
-            coeffs, count = b[1:], count + 1
-    return coeffs, count
-
-
 def _center_of(loc: complex, centers) -> complex | None:
     """The first center within CENTER_MATCH_RTOL of ``loc``, or None."""
     return next((a for a in centers if abs(loc - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a))), None)
@@ -77,30 +60,31 @@ def _center_of(loc: complex, centers) -> complex | None:
 def extract_defects(field) -> DefectSet:
     """Locate all zeros and poles of a field.  The zero field is rejected.
 
-    Numerator zeros on a pole location are divided out first, so zeros and
-    poles never share a location; both lists are in (re, im) order.
+    The zeros are the roots of the whole numerator N.  A pole location a
+    holds as many of them as ``_order`` counts there, the leading Taylor
+    coefficients of N at a within their roundoff bounds: the rule that
+    certifies a multiple root in ``roots``, read at the exact point a.  They
+    are the roots nearest a, and they cancel against the pole order, so
+    zeros and poles never share a location; both lists are in (re, im) order.
     """
     if field.is_zero():
         raise ValueError("the zero field has no defects")
     agg = _poles(field)
-    coeffs = field.numerator.coeffs
-    center_mult: dict[complex, int] = {}
+    numer = field.numerator
+    found = list(roots(numer).roots) if numer.degree >= 1 else []
+    center_mult = dict.fromkeys(agg, 0)
     for a in agg:
-        coeffs, center_mult[a] = _deflate_center(coeffs, a)
-    rest = Polynomial(coeffs)
-    off_center: list[tuple[complex, int]] = []
-    for r, m in roots(rest).roots if rest.degree >= 1 else ():
-        near = _center_of(r, agg)
-        if near is None:
-            off_center.append((r, m))
-        else:
-            center_mult[near] += m
-    zeros = [(a, k - agg[a]) for a, k in center_mult.items() if k > agg[a]] + off_center
+        k = _order(numer.coeffs, a, numer.degree)
+        if k:
+            found.sort(key=lambda rm: abs(rm[0] - a))
+            while found and center_mult[a] < k:
+                center_mult[a] += found.pop(0)[1]
+    zeros = [(a, k - agg[a]) for a, k in center_mult.items() if k > agg[a]] + found
     poles = [(a, agg[a] - k) for a, k in center_mult.items() if k < agg[a]]
     return DefectSet(
         tuple(sorted(zeros, key=_plane_order)),
         tuple(sorted(poles, key=_plane_order)),
-        field.numerator.degree - sum(agg.values()),
+        numer.degree - sum(agg.values()),
     )
 
 

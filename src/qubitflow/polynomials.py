@@ -18,10 +18,18 @@ O(n^3) eigenvalue solve costs more than the sweeps it saves, and there, or
 when LAPACK fails or returns a non-finite value, the starts come from the
 Newton polygon: each edge of the upper convex hull of (i, log|c_i|) places
 its share of the roots on a circle of the matching radius, at fixed angles so
-the output is deterministic.  The approximations are then merged into the
-connected components of the within-``CLUSTER_REL_RADIUS`` graph, and each
-cluster center of multiplicity m is refined by Newton's method on the
-(m-1)-th derivative.
+the output is deterministic.
+
+Multiplicities come from one rule.  The last sweep's values and gaps give
+every approximation its Weierstrass-Smith inclusion disc (Smith, JACM 17,
+1970; Bini and Fiorentino, Numer. Algorithms 23, 2000): the union of the
+discs holds every root, and a connected component of k discs holds exactly
+k.  A component of k > 1 discs is one k-fold root at the point c that
+Newton's method on the (k-1)-th derivative finds, once c passes the
+certificate ``_order``: the first k Taylor coefficients of p at c lie within
+their roundoff bounds and the k-th does not.  A component that fails it is
+cut at the longest edge of its minimum spanning tree, and each part is
+judged alike; single discs are simple roots.
 """
 
 from __future__ import annotations
@@ -36,9 +44,9 @@ import numpy as np
 from .errors import PoleEvaluationError, RootFindingError
 
 TRIM_REL_TOL = 1e-14
-CLUSTER_REL_RADIUS = 1e-6
 ABERTH_TOL = 1e-12
 ABERTH_MAX_ITER = 500
+REFINE_MAX_ITER = 50
 START_ANGLE = 0.7  # Bini's offset of the starting circles, in radians
 # companion-matrix eigenvalue starts up to this degree, Newton-polygon starts
 # above: with OpenBLAS's LAPACK the eigenvalue solve doubles in time from
@@ -246,15 +254,20 @@ def _starts(c: np.ndarray) -> np.ndarray:
     return _newton_polygon_starts(c)
 
 
-def _aberth(c: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+def _aberth(c: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Aberth-Ehrlich iteration in Jacobi form on a monic coefficient array.
 
     Starts from the approximations ``z`` and returns them moved, with the
-    number of sweeps used.  Each sweep moves every active root from the
-    previous sweep's positions.  A root stops when |p| is within 4x its
-    roundoff bound or its step is below ``tol * (1 + |z|)``.  Points outside
-    the unit circle are evaluated on the reversed polynomial at 1/z, so no
-    sweep overflows.
+    radii of their inclusion discs and the number of sweeps used.  Each sweep
+    moves every active root from the previous sweep's positions.  A root
+    stops when |p| is within 4x its roundoff bound or its step is below
+    ``tol * (1 + |z|)``.  Points outside the unit circle are evaluated on the
+    reversed polynomial at 1/z, so no sweep overflows.
+
+    Disc i is Smith's, about the point the last sweep evaluated: radius
+    n (|p(z_i)| + its roundoff bound) / |prod_{j != i} (z_i - z_j)|, from that
+    sweep's values and gaps, grown by the root's last step so that it is
+    about the returned point.
     """
     n = c.size - 1
     rev, fwd = c[::-1, None], c[:, None]
@@ -288,22 +301,25 @@ def _aberth(c: np.ndarray, z: np.ndarray, tol: float, max_iter: int) -> tuple[np
             small = np.abs(step) <= tol * (1.0 + np.abs(z))
             active &= ~(conv | (small & ~held))
             if not active.any():
-                return z, sweep
-    raise RootFindingError(
-        f"{int(active.sum())} of {n} roots still moving after {max_iter} Aberth sweeps"
-    )
+                break
+        else:
+            raise RootFindingError(
+                f"{int(active.sum())} of {n} roots still moving after {max_iter} Aberth sweeps"
+            )
+        # in logs, as the product of gaps and |p| = |z|^n |v| outside the unit circle overflow
+        gaps = np.abs(diffs)
+        gaps.flat[:: n + 1] = 1.0
+        log_radii = np.log(n * (np.abs(v) + bound)) + np.where(outside, n * np.log(az), 0.0)
+        radii = np.exp(log_radii - np.log(gaps).sum(axis=1)) + np.abs(step)
+    return z, radii, sweep
 
 
-def _cluster(points: np.ndarray) -> list[list[int]]:
-    """Connected components of approximations within CLUSTER_REL_RADIUS * (1 + |root|).
+def _components(linked: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph with boolean adjacency matrix ``linked``.
 
-    Members are in index order, and groups in (re, im) order of their first
-    member, ties by that member's index.
+    Members are in index order, and groups in order of their first member.
     """
-    mag = np.abs(points)
-    radius = CLUSTER_REL_RADIUS * (1.0 + np.maximum(mag[:, None], mag))
-    close = np.abs(points[:, None] - points) <= radius
-    parent = list(range(points.size))
+    parent = list(range(linked.shape[0]))
 
     def find(i):
         while parent[i] != i:
@@ -311,43 +327,110 @@ def _cluster(points: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i, j in zip(*np.nonzero(np.triu(close, 1))):
+    for i, j in zip(*np.nonzero(np.triu(linked, 1))):
         parent[find(int(i))] = find(int(j))
     groups: dict[int, list[int]] = {}
-    for i in range(points.size):
+    for i in range(len(parent)):
         groups.setdefault(find(i), []).append(i)
-    keys = points.tolist()
-    return sorted(groups.values(), key=lambda g: (keys[g[0]].real, keys[g[0]].imag))
+    return list(groups.values())
 
 
-def _refine_multiple(poly: Polynomial, center: complex, mult: int) -> complex:
-    # an m-fold root of p is a simple root of the (m-1)-th derivative
+def _order(coeffs: np.ndarray, c: complex, most: int) -> int:
+    """How many leading Taylor coefficients of p at ``c`` lie within their roundoff bounds.
+
+    The j-th coefficient t_j comes from j + 1 synthetic divisions by (z - c);
+    its bound is 2 n eps T_j, with T_j the same coefficient of the polynomial
+    with coefficients |c_i| at |c|, which bounds every term that forms t_j.  A
+    non-finite t_j or T_j is out of bounds.  The count stops at ``most + 1``.
+    """
+    b, mags = coeffs.tolist(), np.abs(coeffs).tolist()
+    tol, ac = 2 * (len(b) - 1) * _EPS, abs(c)
+    for j in range(most + 1):
+        acc = mag = 0.0
+        for i in range(len(b) - 1, -1, -1):
+            acc = b[i] = b[i] + acc * c
+            mag = mags[i] = mags[i] + mag * ac
+        if not abs(acc) <= tol * mag < math.inf:
+            return j
+        del b[0], mags[0]  # the quotient
+    return most + 1
+
+
+def _refine_multiple(poly: Polynomial, center: complex, mult: int, reach: float) -> complex:
+    """A simple root of the (mult-1)-th derivative, by Newton's method from ``center``.
+
+    An m-fold root of p is one.  Newton stops when its step falls below
+    1e-15 (1 + |z|) or stops shrinking, where roundoff holds it; a step that
+    takes z farther than ``reach`` from ``center`` gives ``center`` back, and
+    ``REFINE_MAX_ITER`` shrinking steps raise ``RootFindingError``.
+    """
     p = poly
     for _ in range(mult - 1):
         p = p.derivative()
     dp = p.derivative()
-    z = center
-    for _ in range(50):
-        pv = p(z)
+    z, last = center, math.inf
+    for _ in range(REFINE_MAX_ITER):
         dv = dp(z)
         if dv == 0:
-            break
-        step = pv / dv
-        z_new = z - step
-        if abs(z_new - center) > 10.0 * CLUSTER_REL_RADIUS * (1.0 + abs(center)):
-            return center  # refinement wandered off; keep the cluster mean
-        z = z_new
-        if abs(step) <= 1e-15 * (1.0 + abs(z)):
-            break
-    return z
+            return z
+        step = complex(p(z) / dv)
+        if not abs(step) < last:
+            return z
+        z, last = z - step, abs(step)
+        if abs(z - center) > reach:
+            return center
+        if last <= 1e-15 * (1.0 + abs(z)):
+            return z
+    raise RootFindingError(
+        f"Newton refinement of a {mult}-fold root near {center} still moving after {REFINE_MAX_ITER} steps"
+    )
+
+
+def _bottleneck(gaps: np.ndarray) -> float:
+    """Longest edge of a minimum spanning tree of the complete graph with weights ``gaps`` (Prim)."""
+    reach, done, longest = gaps[0].copy(), np.zeros(len(gaps), dtype=bool), 0.0
+    done[0] = True
+    for _ in range(len(gaps) - 1):
+        i = int(np.argmin(np.where(done, np.inf, reach)))
+        longest, done[i] = max(longest, float(reach[i])), True
+        reach = np.minimum(reach, gaps[i])
+    return longest
+
+
+def _multiple_roots(coeffs, approx, radii, group) -> list[tuple[complex, int]]:
+    """The roots in one connected group of discs, as (location, multiplicity) pairs.
+
+    A group of k > 1 discs is one k-fold root at the point c that
+    ``_refine_multiple`` finds from the members' mean, within the group's
+    radius, when ``_order`` certifies c as a k-fold zero.  Otherwise the
+    group is cut at the longest edge of its minimum spanning tree, and each
+    part is judged alike.
+    """
+    k = len(group)
+    if k == 1:
+        return [(complex(approx[group[0]]), 1)]
+    points = approx[group]
+    mean = complex(np.mean(points))
+    reach = float(np.max(np.abs(points - mean) + radii[group]))
+    # a cluster's mean is a zero within roundoff too; that cheap test spares the refinement
+    if _order(coeffs, mean, 0):
+        center = _refine_multiple(Polynomial(coeffs), mean, k, reach)
+        if _order(coeffs, center, k) == k:
+            return [(center, k)]
+    gaps = np.abs(points[:, None] - points)
+    parts = _components(gaps < _bottleneck(gaps))
+    return [r for part in parts for r in _multiple_roots(coeffs, approx, radii, [group[i] for i in part])]
 
 
 def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_ITER) -> RootSet:
     """All complex roots of ``poly`` with multiplicities.
 
-    Deterministic for a given input.  Raises ``ValueError`` for the zero
-    polynomial or a nonzero constant, and ``RootFindingError`` if roots are
-    still moving after ``max_iter`` sweeps or any reported root fails the
+    Deterministic for a given input.  Approximations whose inclusion discs
+    form a connected component are one multiple root when ``_order``
+    certifies it, as the module docstring sets out.  Raises ``ValueError``
+    for the zero polynomial or a nonzero constant, and ``RootFindingError``
+    if roots are still moving after ``max_iter`` sweeps, a multiple root's
+    Newton refinement reaches its cap, or any reported root fails the
     backward-error residual check.  The check takes |p(r)| from ``horner``;
     where that overflows and |r| > 1 it takes log10|p(r)| from ``horner`` on
     the reversed polynomial at 1/r, the sweep's unit-disc rule.
@@ -363,19 +446,14 @@ def roots(poly: Polynomial, tol: float = ABERTH_TOL, max_iter: int = ABERTH_MAX_
     if origin_mult:
         found.append((0.0 + 0.0j, origin_mult))
     sweeps = 0
-    if coeffs.size > 1:
+    if coeffs.size == 2:
+        found.append((complex(-coeffs[0] / coeffs[1]), 1))
+    elif coeffs.size > 2:
         c = coeffs / coeffs[-1]
-        if c.size == 2:
-            approx = -c[:1]
-        else:
-            approx, sweeps = _aberth(c, _starts(c), tol, max_iter)
-        for group in _cluster(approx):
-            mult = len(group)
-            if mult == 1:
-                center = complex(approx[group[0]])
-            else:
-                center = _refine_multiple(Polynomial(coeffs), complex(np.mean(approx[group])), mult)
-            found.append((center, mult))
+        approx, radii, sweeps = _aberth(c, _starts(c), tol, max_iter)
+        linked = np.abs(approx[:, None] - approx) <= radii[:, None] + radii
+        for group in _components(linked):
+            found += _multiple_roots(coeffs, approx, radii, group)
     # |p(r)| <= 1e-8 * scale * (1 + |r|)**degree, compared in log space because
     # the bound overflows for large roots; a non-finite log fails
     at = np.array([r for r, _ in found])

@@ -212,12 +212,16 @@ def qft(state: QubitState, inverse: bool = False) -> QubitState:
 
 
 def _qft_prefix(state: QubitState, k: int, inverse: bool = False) -> QubitState:
-    """QFT (or its inverse) restricted to the first k qubits."""
+    """QFT (or its inverse) restricted to the first k qubits.
+
+    The product with the Fourier matrix is a fixed-order numpy sum, not a BLAS
+    call, so its bits do not depend on the host's BLAS kernel.
+    """
     size = 2**k
     sign = -1.0 if inverse else 1.0
     idx = np.arange(size)
     f = np.exp(sign * 2j * np.pi * np.outer(idx, idx) / size) / np.sqrt(size)
-    return QubitState(state.n, (f @ state.amplitudes.reshape(size, -1)).reshape(-1))
+    return QubitState(state.n, (f[:, :, None] * state.amplitudes.reshape(size, -1)).sum(axis=1).reshape(-1))
 
 
 def factor_out_qubit(state: QubitState, target: int) -> tuple[QubitState, QubitState]:

@@ -29,7 +29,7 @@ from qubitflow import defects
 from qubitflow.cli import main
 from qubitflow.defects import GROUP_RTOL, _match_polygon, _screen
 from qubitflow.fields import LaurentField, RationalField
-from qubitflow.polynomials import Polynomial
+from qubitflow.polynomials import Polynomial, roots
 
 
 def random_state(rng, n):
@@ -116,6 +116,32 @@ def test_deflation_stops_where_the_value_overflows(tmp_path, capsys):
     d = extract_defects(RationalField(Polynomial([1, 0, 1]), ((1e200 + 0j, 1),)))
     assert [m for _, m in d.zeros] == [1, 1] and max(abs(abs(z) - 1.0) for z, _ in d.zeros) <= 1e-9
     assert d.poles == ((1e200 + 0j, 1),)
+
+
+def test_double_zero_on_a_center_counts_whole():
+    # qubit 2 is |1>: N has a double zero at the center 1, whose two approximations lie
+    # farther apart than n |N(z_i)| / |prod_j (z_i - z_j)| reaches; the roundoff bound in
+    # the disc radius joins them
+    amps = [0j, 0.6916312577362969 - 0.6083329198380591j, 0j, -0.05356160074608834 - 0.38562730309059623j]
+    st = QubitState(2, np.array(amps))
+    cfg = make_position_config(2)
+    field = position_map(st, cfg)
+    double = [(r, m) for r, m in roots(field.numerator).roots if m > 1]
+    assert len(double) == 1 and double[0][1] == 2 and abs(double[0][0] - 1) <= 1e-12
+    d = extract_defects(field)
+    assert (1 + 0j, 1) in d.zeros and d.poles == ((-1 + 0j, 1),)
+    assert is_separable_geometric(st, cfg)[0]
+
+
+def test_plus_state_charge_field_keeps_its_triple_zeros():
+    # (1 + z^2)(1 + z^6)(1 + z^18) / z^13: triple zeros at +-i, double ones at the other
+    # sixth roots of -1, no zero at 0
+    plus = QubitState(1, np.array([1.0, 1.0]) / np.sqrt(2))
+    d = extract_defects(charge_map(tensor(tensor(plus, plus), plus), 3))
+    assert d.poles == ((0j, 13),) and all(z != 0 for z, _ in d.zeros)
+    assert sorted(m for _, m in d.zeros) == [1] * 12 + [2] * 4 + [3] * 2
+    triples = sorted((z for z, m in d.zeros if m == 3), key=lambda z: z.imag)
+    assert np.allclose(triples, [-1j, 1j], rtol=0, atol=1e-12)
 
 
 def test_extract_zero_field_raises():

@@ -14,6 +14,7 @@ from qubitflow import (
     apply_gate,
     charge_map,
     derivative_eval,
+    extract_defects,
     make_basis_state,
     make_position_config,
     position_map,
@@ -26,9 +27,7 @@ from qubitflow import polynomials
 from qubitflow.polynomials import (
     ABERTH_MAX_ITER,
     ABERTH_TOL,
-    CLUSTER_REL_RADIUS,
     _aberth,
-    _cluster,
     _newton_polygon_starts,
     horner,
 )
@@ -219,7 +218,7 @@ def test_roots_fall_back_to_newton_polygon_starts(monkeypatch, eigvals):
 )
 def test_aberth_nudges_coincident_and_critical_starts_apart(coeffs, starts):
     c = np.array(coeffs, dtype=complex)
-    z, _ = _aberth(c, np.array(starts, dtype=complex), ABERTH_TOL, ABERTH_MAX_ITER)
+    z, _, _ = _aberth(c, np.array(starts, dtype=complex), ABERTH_TOL, ABERTH_MAX_ITER)
     for r in np.roots(c[::-1]):
         assert np.min(np.abs(z - r)) <= 1e-8 * (1 + abs(r))
 
@@ -232,48 +231,57 @@ def test_roots_iteration_cap_raises():
         roots(numerator, max_iter=1)
 
 
-def _cluster_reference(points):
-    """The pairwise greedy union that ``_cluster`` replaced."""
-    points = points.tolist()
-    order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a_pos, i in enumerate(order):
-        for j in order[a_pos + 1 :]:
-            r = CLUSTER_REL_RADIUS * (1.0 + max(abs(points[i]), abs(points[j])))
-            if abs(points[i] - points[j]) <= r:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(points)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: (points[g[0]].real, points[g[0]].imag))
+def _multiple_factor(rng, k):
+    """(z - c)**k times three simple factors at least 0.7 from c, c in [-1.5, 1.5]**2."""
+    c = complex(*rng.uniform(-1.5, 1.5, 2))
+    others = [c + rng.uniform(0.7, 2.2) * np.exp(2j * np.pi * rng.random()) for _ in range(3)]
+    return c, Polynomial.from_linear_factors([(c, k)] + [(r, 1) for r in others])
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_cluster_matches_the_pairwise_reference(seed):
+def test_disc_components_count_each_multiplicity(seed):
     rng = np.random.default_rng(seed)
-    points = list(rng.uniform(-2, 2, 12) + 1j * rng.uniform(-2, 2, 12))
-    for _ in range(3):  # chains: each link within the radius, the ends far apart
-        start = complex(*rng.uniform(-1, 1, 2))
-        points += [start + k * 0.9 * CLUSTER_REL_RADIUS * (1 + abs(start)) for k in range(4)]
-    points += [points[0], points[0], points[5]]  # exact duplicates
-    points += [complex(-0.0, 0.0), complex(0.0, -0.0), 0j, complex(-0.0, 1.0), 1j]
-    # exactly at the radius from the origin, and one float past it
-    at = CLUSTER_REL_RADIUS * (1.0 + CLUSTER_REL_RADIUS / (1.0 - CLUSTER_REL_RADIUS))
-    past = np.nextafter(at, 1.0)
-    assert at == CLUSTER_REL_RADIUS * (1.0 + at) and past > CLUSTER_REL_RADIUS * (1.0 + past)
-    points += [complex(at, 0.0), complex(-0.0, -at), complex(-past, 0.0), complex(0.0, past)]
-    points = np.array([points[i] for i in rng.permutation(len(points))])
-    groups = _cluster(points)
-    assert groups == _cluster_reference(points)
-    assert sorted(len(g) for g in groups).count(4) == 3
-    assert [len(g) for g in groups if 0j in points[g]] == [5]
+    for k in range(1, 9):
+        # off a centre: one k-fold root at c, and the three simple ones
+        c, p = _multiple_factor(rng, k)
+        rs = roots(p)
+        near = [(r, m) for r, m in rs.roots if abs(r - c) < 0.35]
+        assert [m for _, m in near] == [k] and abs(near[0][0] - c) <= 1e-9 * (1 + abs(c))
+        assert sorted(m for _, m in rs.roots) == sorted([1, 1, 1, k])
+        # on a centre: the k zeros cancel k of the 9 pole orders there
+        c, p = _multiple_factor(rng, k)
+        d = extract_defects(RationalField(p, ((c, 9),)))
+        assert d.poles == ((c, 9 - k),)
+        assert [m for _, m in d.zeros] == [1, 1, 1] and min(abs(z - c) for z, _ in d.zeros) > 0.69
+
+
+def test_fivefold_factor_is_one_root():
+    rs = roots(Polynomial.from_linear_factors([(0.3 + 0.1j, 5)]))
+    assert [m for _, m in rs.roots] == [5]
+    assert abs(rs.roots[0][0] - (0.3 + 0.1j)) <= 1e-12
+
+
+def test_refinement_stops_where_roundoff_stalls_it():
+    # a position n = 3 frame numerator with a double zero at -1 + i: from the third
+    # Newton step on, roundoff keeps the step near 1e-14, above 1e-15 (1 + |z|)
+    coeffs = [
+        -1.4142135623730958 - 1.414213562373094j, -5.278461654132847e-15 - 8.485281374238568j,
+        12.72792206135783 - 12.72792206135787j, 35.35533905932735 - 8.315570454442422e-14j,
+        58.33630944789029 + 58.33630944789002j, 3.306699790004159e-13 + 140.00714267493638j,
+        -115.96551211459355 + 115.96551211459412j, -144.24978336205595 + 2.6048605310103395e-13j,
+        -68.9429111656885 - 68.94291116568853j, 1.928711716128455e-13 - 49.497474683058314j,
+        12.727922061357829 - 12.72792206135762j, 4.242640687119071 - 7.687477397668629e-15j,
+        0.35355339059327434 + 0.3535533905931153j,
+    ]
+    rs = roots(Polynomial(coeffs))
+    double = [(r, m) for r, m in rs.roots if m > 1]
+    assert len(double) == 1 and double[0][1] == 2 and abs(double[0][0] - (-1 + 1j)) <= 1e-11
+
+
+def test_refinement_cap_raises(monkeypatch):
+    monkeypatch.setattr(polynomials, "REFINE_MAX_ITER", 1)
+    with pytest.raises(RootFindingError, match="5-fold root near .* still moving after 1 steps"):
+        roots(Polynomial.from_linear_factors([(0.3 + 0.1j, 5), (2.0, 1)]))
 
 
 def test_roots_large_root_without_overflow():
@@ -508,8 +516,8 @@ def _wrong_last_root(monkeypatch, at):
     real_aberth = polynomials._aberth
 
     def aberth(c, z, tol, max_iter):
-        approx, sweeps = real_aberth(c, z, tol, max_iter)
-        return np.concatenate([approx[:-1], [at]]), sweeps
+        approx, radii, sweeps = real_aberth(c, z, tol, max_iter)
+        return np.concatenate([approx[:-1], [at]]), radii, sweeps
 
     monkeypatch.setattr(polynomials, "_aberth", aberth)
 

@@ -106,6 +106,28 @@ def test_numerator_outside_the_basis_span_is_not_separable():
     assert field_separability(RationalField(product + cube.scale(1e-6), spec), cfg) == (False, ())
 
 
+def collapsed_product(rng, n):
+    """A seeded product whose qubit j, drawn at random, is exactly e^{i theta}|1>."""
+    qubits = [random_state(rng, 1) for _ in range(n)]
+    qubits[rng.integers(n)] = QubitState(1, np.array([0.0, np.exp(2j * np.pi * rng.random())]))
+    st = qubits[0]
+    for q in qubits[1:]:
+        st = tensor(st, q)
+    return st
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_collapsed_qubits_read_as_products(n):
+    # the 2d zeros of a collapsed qubit sit on its center, and count there however
+    # roundoff scatters their approximations
+    cfg = make_position_config(n)
+    rng = np.random.default_rng([26, n])
+    phased = [QubitState(n, np.exp(0.3j) * np.eye(2**n)[i]) for i in range(2**n)]
+    for st in phased + [collapsed_product(rng, n) for _ in range(200)]:
+        assert is_separable_tensor(st)
+        assert is_separable_geometric(st, cfg)[0]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="QFT(QFT|b>) is |b> plus roundoff amplitudes near 1e-16, which the SVD oracle "

@@ -339,8 +339,8 @@ def _order(coeffs: np.ndarray, c: complex, most: int) -> int:
     """How many leading Taylor coefficients of p at ``c`` lie within their roundoff bounds.
 
     The j-th coefficient t_j comes from j + 1 synthetic divisions by (z - c);
-    its bound is 2 n eps T_j, with T_j the same coefficient of the polynomial
-    with coefficients |c_i| at |c|, which bounds every term that forms t_j.  A
+    its bound is 2 n eps T_j, with n the degree and T_j the same coefficient of
+    the polynomial with coefficients |c_i| at |c|, which bounds every term of t_j.  A
     non-finite t_j or T_j is out of bounds.  The count stops at ``most + 1``.
     """
     b, mags = coeffs.tolist(), np.abs(coeffs).tolist()

@@ -119,17 +119,16 @@ def test_deflation_stops_where_the_value_overflows(tmp_path, capsys):
 
 
 def test_double_zero_on_a_center_counts_whole():
-    # qubit 2 is |1>: N has a double zero at the center 1, whose two approximations lie
-    # farther apart than n |N(z_i)| / |prod_j (z_i - z_j)| reaches; the roundoff bound in
-    # the disc radius joins them
-    amps = [0j, 0.6916312577362969 - 0.6083329198380591j, 0j, -0.05356160074608834 - 0.38562730309059623j]
+    # qubit 1 is |1>: N has a double zero at the center -1, where N vanishes exactly at both
+    # approximations; only the roundoff bound in their disc radii joins them into one root
+    amps = [0j, 0j, -0.6680485134817267 + 0.4262105452404809j, -0.4571852443325418 - 0.4037789087177058j]
     st = QubitState(2, np.array(amps))
     cfg = make_position_config(2)
     field = position_map(st, cfg)
     double = [(r, m) for r, m in roots(field.numerator).roots if m > 1]
-    assert len(double) == 1 and double[0][1] == 2 and abs(double[0][0] - 1) <= 1e-12
+    assert len(double) == 1 and double[0][1] == 2 and abs(double[0][0] + 1) <= 1e-12
     d = extract_defects(field)
-    assert (1 + 0j, 1) in d.zeros and d.poles == ((-1 + 0j, 1),)
+    assert (-1 + 0j, 1) in d.zeros and d.poles == ((1 + 0j, 1),)
     assert is_separable_geometric(st, cfg)[0]
 
 

@@ -261,6 +261,19 @@ def test_fivefold_factor_is_one_root():
     assert abs(rs.roots[0][0] - (0.3 + 0.1j)) <= 1e-12
 
 
+def test_a_component_of_several_multiple_roots_is_cut_into_them():
+    # the noise rings of these 6-, 5- and 4-fold roots are wide enough that their discs form one
+    # component, whose mean is a zero within roundoff; no 15-fold zero passes the Taylor
+    # certificate there, so the component is cut into its roots (how a ring splits depends on
+    # the eigenvalue starts, so only the cut is asserted)
+    p = Polynomial.from_linear_factors([
+        (1.008950849996951 + 1.5855679614833318j, 6), (0.8942956903704582 - 0.3787560988969054j, 1),
+        (1.847601916060893 + 1.4823849611000814j, 5), (1.108850529856785 + 1.9835930867355818j, 4),
+    ])
+    rs = roots(p)
+    assert rs.total_multiplicity() == 16 and max(m for _, m in rs.roots) <= 6
+
+
 def test_refinement_stops_where_roundoff_stalls_it():
     # a position n = 3 frame numerator with a double zero at -1 + i: from the third
     # Newton step on, roundoff keeps the step near 1e-14, above 1e-15 (1 + |z|)

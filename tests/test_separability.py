@@ -132,8 +132,9 @@ def test_collapsed_qubits_read_as_products(n):
     strict=True,
     reason="QFT(QFT|b>) is |b> plus roundoff amplitudes near 1e-16, which the SVD oracle "
     "calls separable; the halo check does not: for |000> every halo reads at-infinity, with "
-    "15 zeros left at |z| ~ 8, and for |011> the 6-fold zeros on the centers split into rings "
-    "of radius ~1e-3 whose halos read absent (7 of 8 states at n = 3, 14 of 16 at n = 4)",
+    "15 zeros left at |z| ~ 8, and for |011> the 6-fold zeros of a center split into a ring "
+    "of radius ~4e-3, too wide for N's roundoff bound to count them on the center, so its halo "
+    "reads absent (5 of 8 states at n = 3, 11 of 16 at n = 4)",
 )
 @pytest.mark.parametrize("n", [3, 4])
 def test_qft_squared_basis_states_read_as_products(n):

@@ -11,7 +11,11 @@ Every consumer reads a field through one form: a ``numerator`` polynomial over
 the poles ``denominator_spec``, ``(a, m)`` pairs meaning ``prod (z - a)**m``.
 A Laurent field keeps its sparse terms for serialization and the circle
 product, and derives that form on first use: the coefficients shifted by
-``k = max(0, -min c)`` over a pole of order k at the origin.
+``k = max(0, -min c)`` over a pole of order k at the origin.  Beneath the
+numerator lies one exact, read-only coefficient array ``_coeffs`` over the
+same poles: a rational field's numerator coefficients, or a Laurent field's
+terms placed at ``c + k`` with none trimmed, of which ``numerator`` is the
+trimmed ``Polynomial``.  The Gram basis reads fields through ``_coeffs``.
 
 The physical velocity is read from a field value ``f`` as ``(u, v) =
 (Re f, -Im f)``.
@@ -129,11 +133,17 @@ class LaurentField:
         return ((0j, k),) if k > 0 else ()
 
     @cached_property
-    def numerator(self) -> Polynomial:
+    def _coeffs(self) -> np.ndarray:
+        """The exact numerator, read-only: each term at c + k, none trimmed."""
         k = sum(m for _, m in self.denominator_spec)
         coeffs = np.zeros(max(self.terms, default=0) + k + 1, dtype=complex)
         coeffs[np.fromiter(self.terms, int, len(self.terms)) + k] = list(self.terms.values())
-        return Polynomial(coeffs)
+        coeffs.setflags(write=False)
+        return coeffs
+
+    @cached_property
+    def numerator(self) -> Polynomial:
+        return Polynomial(self._coeffs)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,6 +171,10 @@ class RationalField:
         for _, m in spec:
             if m < 1:
                 raise ValueError("denominator multiplicities must be >= 1")
+
+    @property
+    def _coeffs(self) -> np.ndarray:
+        return self.numerator.coeffs
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
@@ -298,13 +312,15 @@ class _Basis(tuple):
         return [c for f in self for c in f.terms]
 
     def align(self, field) -> np.ndarray:
-        """N: the field's numerator over M's denominator, one entry per row of M."""
+        """N: the field's exact coefficients over M's denominator, one entry per row of M,
+        read-only, since a field already that wide is returned as it is."""
         numer = _over(field, self.poles)
         if numer.size > self.width:
             raise ValueError("field has a degree outside the span of the basis")
-        row = np.zeros(self.width, dtype=complex)
-        row[: numer.size] = numer
-        return row
+        if numer.size < self.width:
+            numer = np.concatenate([numer, np.zeros(self.width - numer.size, dtype=complex)])
+        numer.setflags(write=False)
+        return numer
 
 
 @lru_cache(maxsize=32)
@@ -400,12 +416,15 @@ def _poles(field) -> dict[complex, int]:
 
 
 def _over(field, common: dict[complex, int]) -> np.ndarray:
-    """The numerator of ``field`` over the denominator ``common`` ({center: order}): each
-    missing pole order multiplies it by its factor, a shift for a pole at 0."""
+    """The exact coefficients of ``field`` over the denominator ``common`` ({center: order}),
+    its own read-only array where its poles are ``common``: each missing pole order
+    multiplies them by its factor, a shift for a pole at 0."""
     own = _poles(field)
+    if own == common:
+        return field._coeffs
     if any(m > common.get(a, 0) for a, m in own.items()):
         raise ValueError("field has a pole outside the shared denominator")
-    numer = field.numerator.coeffs
+    numer = field._coeffs
     for a, m in common.items():
         k = m - own.get(a, 0)
         if k and a == 0:

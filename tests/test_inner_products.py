@@ -256,13 +256,38 @@ def test_circle_product_on_hand_built_supports(f, g):
 
 
 def test_circle_product_keeps_a_term_the_dense_numerator_trims():
-    # |000> + 1e-16 |111> against |111> at charge n = 3, d = 3: the overlap is 1e-16, but the
-    # z**13 term sits below 1e-14 of the largest coefficient, so a dense numerator drops it
+    # |000> + 1e-16 |111> against |111> at charge n = 3, d = 3: the overlap is 1e-16, though the
+    # z**13 term sits below 1e-14 of the largest coefficient, where the trimmed numerator drops
+    # it; the dense rows read the exact terms, so they keep it too
     a = np.zeros(8, dtype=complex)
     a[0], a[7] = 1.0, 1e-16
     f, g = charge_map(QubitState(3, a), 3), charge_map(make_basis_state(3, "111"), 3)
-    assert dense_overlap(f, g) == 0j
+    assert f.numerator.degree < 26
+    assert dense_overlap(f, g) == 1e-16
     assert circle_inner_product(f, g) == 1e-16
+
+
+def test_gram_reads_a_term_the_trimmed_numerator_drops():
+    # the same pair through the Gram basis, which reads the field's exact terms
+    a = np.zeros(8, dtype=complex)
+    a[0], a[7] = 1.0, 1e-16
+    ctx = build_gram(make_charge_config(3, 3))
+    f, g = charge_map(QubitState(3, a), 3), charge_map(make_basis_state(3, "111"), 3)
+    assert inner(f, g, ctx) == inner(g, f, ctx) == 1e-16
+    assert complex(np.vdot(ctx.pi(g), ctx.weight @ ctx.pi(f))) == 1e-16
+    # beside a unit amplitude a 1e-16 one is below a norm's resolution: the norm is that of psi
+    assert gram_norm(f, ctx) == np.linalg.norm(a)
+
+
+def test_a_term_beyond_the_basis_degree_is_refused_however_small():
+    # charge n = 3, d = 3 spans z**-13 .. z**13; a 1e-17 term at z**14 is no state's, though
+    # the trimmed numerator drops it
+    ctx = build_gram(make_charge_config(3, 3))
+    f = LaurentField({-13: 1.0, 14: 1e-17})
+    assert f.numerator.degree == 0
+    for read in (lambda f: inner(f, f, ctx), lambda f: gram_norm(f, ctx), ctx.pi):
+        with pytest.raises(ValueError, match="field has a degree outside the span of the basis"):
+            read(f)
 
 
 def test_circle_nodes_are_checked_only_when_given():
@@ -514,6 +539,8 @@ def test_align_matches_the_general_numerator_rows(cfg):
     for f in fitting:
         want = reference_align(basis, f).tobytes()
         assert basis.align(f).tobytes() == want
+        # it may be the field's own coefficients, so no caller may write to it
+        assert not basis.align(f).flags.writeable
         (row,) = _numerator_rows([f], common)
         assert np.pad(row, (0, basis.width - row.size)).tobytes() == want
     other = make_position_config(2) if cfg.kind == "charge" else make_charge_config(cfg.n, 3)
@@ -528,6 +555,10 @@ def test_align_matches_the_general_numerator_rows(cfg):
     for label in ("degree", "far degree"):
         assert _aligned(basis.align, outside[label]) == "field has a degree outside the span of the basis"
     assert _aligned(basis.align, outside["pole"]) == "field has a pole outside the shared denominator"
+    if cfg.kind == "charge":
+        # one term past the top exponent, however small, is outside too
+        tiny = LaurentField({min(basis.exponents): 1.0, max(basis.exponents) + 1: 1e-17})
+        assert _aligned(basis.align, tiny) == "field has a degree outside the span of the basis"
 
 
 @pytest.mark.parametrize("n, d, probe, bound", [(2, 4, True, 1e-14), (4, 3, False, 3e-13)])

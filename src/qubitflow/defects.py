@@ -10,10 +10,11 @@ one of these patterns.
 Separability has one definition, in state terms: psi is separable when some
 product state w has ||psi - lam w|| <= tau ||psi||, tau = ``FACTOR_SV_RTOL``.
 The SVD oracle takes w from rank-1 factors of psi; the halo check reads w off
-the halos and tests it on the state recovered from the numerator.  The halo
-tolerances only propose which zeros form a halo or sit on a center: each
-vertex of a trial polygon takes its nearest zero, and a trial that uses a zero
-beyond its multiplicity fails (where a greedy search takes a farther zero).
+the halos and tests it on the state recovered from the numerator.  Zeros on
+a center are certified once, by ``extract_defects``, at exactly its location.
+``GROUP_RTOL`` only proposes which other zeros form a halo: each vertex of a
+trial polygon takes its nearest zero, and a trial that uses a zero beyond its
+multiplicity fails (where a greedy search takes a farther zero).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .fields import RationalField, RepresentationConfig, _basis, _poles, positio
 from .polynomials import _order, roots
 from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
 
-CENTER_MATCH_RTOL = 1e-9
 GROUP_RTOL = 1e-4
 
 
@@ -52,11 +52,6 @@ class DefectSet:
         }
 
 
-def _center_of(loc: complex, centers) -> complex | None:
-    """The first center within CENTER_MATCH_RTOL of ``loc``, or None."""
-    return next((a for a in centers if abs(loc - a) <= CENTER_MATCH_RTOL * (1.0 + abs(a))), None)
-
-
 def extract_defects(field) -> DefectSet:
     """Locate all zeros and poles of a field.  The zero field is rejected.
 
@@ -64,8 +59,9 @@ def extract_defects(field) -> DefectSet:
     holds as many of them as ``_order`` counts there, the leading Taylor
     coefficients of N at a within their roundoff bounds: the rule that
     certifies a multiple root in ``roots``, read at the exact point a.  They
-    are the roots nearest a, and they cancel against the pole order, so
-    zeros and poles never share a location; both lists are in (re, im) order.
+    are the roots nearest a, reported at exactly a; they cancel against the
+    pole order, so zeros and poles never share a location; both lists are in
+    (re, im) order.
     """
     if field.is_zero():
         raise ValueError("the zero field has no defects")
@@ -189,6 +185,8 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     (z - a_j)**(2d) is a regular halo; failing both, the center is at-infinity
     if no zero sits on it, even with zeros left elsewhere (GHZ-4 has four),
     and absent if some do.  Zeros that no center claims are reported as leftovers.
+    A zero or pole counts on a center only at exactly its location, where
+    ``extract_defects`` puts those it certifies; any other pole raises ValueError.
     """
     if cfg.kind != "position":
         raise ValueError("halo detection needs a position configuration")
@@ -198,9 +196,8 @@ def detect_halos(defect_set: DefectSet, cfg: RepresentationConfig) -> HaloReport
     remaining: dict[complex, int] = {a: d for a in centers}
     off_center: list[list] = []
     for z, m in [(p, -m) for p, m in defect_set.poles] + sorted(defect_set.zeros, key=_plane_order):
-        a = _center_of(z, centers)
-        if a is not None:
-            remaining[a] += m
+        if z in remaining:  # complex keys: 0.0 and -0.0 parts hash and compare equal
+            remaining[z] += m
         elif m < 0:
             raise ValueError(f"pole at {z} is not a configured defect center")
         else:

@@ -485,7 +485,7 @@ def nonsingularity_gap(matrix: np.ndarray, sweeps: int = 50) -> float:
         raise ValueError("need a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    for _ in range(sweeps):
+    for _ in range(checked_int(sweeps, "sweeps")):
         rn = np.linalg.norm(m, axis=1, keepdims=True)
         if np.any(rn == 0):
             return 0.0

@@ -21,6 +21,7 @@ from .errors import ConditioningError
 from .fields import LaurentField, RepresentationConfig, _basis
 # derivative_eval is not called here; perfbench's tracer wraps it in every namespace that holds it
 from .polynomials import _factorials, derivative_eval, wronskian_matrix  # noqa: F401
+from .states import checked_int
 
 CONDITION_LIMIT = 1e8
 CONDITION_TIE_RTOL = 1e-9
@@ -161,6 +162,6 @@ def circle_inner_product(f1: LaurentField, f2: LaurentField, nodes: int | None =
         raise ValueError("the circle inner product is defined for Laurent fields")
     if nodes is not None:
         max_exp = max(f1.max_abs_exponent(), f2.max_abs_exponent())
-        if nodes < 2 * max_exp + 1:
+        if checked_int(nodes, "nodes") < 2 * max_exp + 1:
             raise ValueError(f"need at least {2 * max_exp + 1} nodes for exponents up to {max_exp}")
     return complex(sum(a.conjugate() * f2.terms[c] for c, a in f1.terms.items() if c in f2.terms))

@@ -42,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleEvaluationError, RootFindingError
+from .states import checked_int
 
 TRIM_REL_TOL = 1e-14
 ABERTH_TOL = 1e-12
@@ -492,8 +493,7 @@ def derivative_eval(field, alpha: complex, max_order: int) -> np.ndarray:
     alphac = complex(alpha)
     if not cmath.isfinite(alphac):
         raise ValueError(f"probe point {alphac} is not finite")
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    max_order = checked_int(max_order, "max_order", 0)
     # shifted[1 + j] holds the Taylor coefficient of order j, shifted[0] the
     # next numerator coefficient
     shifted = np.zeros(max_order + 2, dtype=complex)
@@ -530,6 +530,6 @@ def wronskian_matrix(fields, alpha: complex, order: int | None = None) -> np.nda
     """Matrix B(alpha): column j holds derivatives of field j at orders 0..m-1."""
     if not fields:
         raise ValueError("need at least one field")
-    m = len(fields) if order is None else int(order)
+    m = len(fields) if order is None else checked_int(order, "order")
     cols = [derivative_eval(f, alpha, m - 1) for f in fields]
     return np.column_stack(cols)

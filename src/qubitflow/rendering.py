@@ -24,6 +24,7 @@ import numpy as np
 from .defects import DefectSet, HaloReport
 from .fields import eval_many
 from .polynomials import horner
+from .states import checked_int
 
 POLE_KEEPOUT = 1e-9
 HALO_COLORS = ("red", "green", "blue", "brown")
@@ -61,7 +62,7 @@ class FieldGrid:
 def _grid_spec(bbox, resolution, clip: float):
     """The checked ((xmin, xmax, ymin, ymax), (nx, ny)) of a grid; ValueError if unusable."""
     xmin, xmax, ymin, ymax = (float(b) for b in bbox)
-    nx, ny = int(resolution[0]), int(resolution[1])
+    nx, ny = checked_int(resolution[0], "nx"), checked_int(resolution[1], "ny")
     if nx < 2 or ny < 2:
         raise ValueError("resolution must be at least 2 in each direction")
     if not all(map(math.isfinite, (xmin, xmax, ymin, ymax))):
@@ -370,7 +371,7 @@ def stereographic_project(field, resolution=(24, 48)) -> list[SphereSample]:
     The north pole row (theta = 0) is excluded as the projection point; grid
     nodes whose planar image lands within 1e-9 of a field pole are skipped.
     """
-    n_theta, n_phi = int(resolution[0]), int(resolution[1])
+    n_theta, n_phi = checked_int(resolution[0], "n_theta"), checked_int(resolution[1], "n_phi")
     if n_theta < 1 or n_phi < 1:
         raise ValueError("resolution must be at least 1 in each direction")
     build = _sphere_grid if n_theta * n_phi <= _CACHE_POINTS else _sphere_grid.__wrapped__

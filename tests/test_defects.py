@@ -202,6 +202,29 @@ def test_halos_reject_stray_pole():
         detect_halos(bad, cfg)
 
 
+def test_halos_count_on_a_center_only_at_its_exact_location():
+    # extract_defects puts the zeros its certificate finds on a center at exactly the center;
+    # a double zero 1e-12 away was not certified there, so it is a halo of radius 1e-12
+    cfg = make_position_config(2)
+    near = DefectSet(zeros=((-1 + 1e-12 + 0j, 2),), poles=((-1 + 0j, 1), (1 + 0j, 1)), infinity_charge=0)
+    report = detect_halos(near, cfg)
+    left, right = report.halos
+    assert left.status == "regular" and left.vertices == (-1 + 1e-12 + 0j,) * 2
+    assert abs(left.radius - 1e-12) <= 1e-16
+    assert right.status == "at-infinity" and report.leftover_zeros == ()
+    on = DefectSet(zeros=((-1 + 0j, 1),), poles=((1 + 0j, 1),), infinity_charge=0)
+    assert [h.status for h in detect_halos(on, cfg).halos] == ["collapsed", "at-infinity"]
+    signed = DefectSet(zeros=((complex(-1, -0.0), 1),), poles=((complex(1, -0.0), 1),), infinity_charge=0)
+    assert detect_halos(signed, cfg) == detect_halos(on, cfg)  # -0.0 and 0.0 name one center
+
+
+def test_halos_reject_a_pole_next_to_a_center():
+    cfg = make_position_config(2)
+    near = DefectSet(zeros=(), poles=((-1 + 0j, 1), (1 + 1e-12 + 0j, 1)), infinity_charge=-2)
+    with pytest.raises(ValueError, match="is not a configured defect center"):
+        detect_halos(near, cfg)
+
+
 def test_halos_need_position_config():
     cfg = make_charge_config(2)
     d = extract_defects(charge_map(make_basis_state(2, "01")))

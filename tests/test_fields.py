@@ -15,6 +15,8 @@ from qubitflow import (
     charge_basis_fields,
     charge_map,
     check_linear_independence,
+    circle_inner_product,
+    derivative_eval,
     eval_field,
     evaluation_matrix,
     exponent,
@@ -27,9 +29,12 @@ from qubitflow import (
     nonsingularity_gap,
     position_basis_fields,
     position_map,
+    sample_grid,
+    stereographic_project,
     sufficient_charge_bound,
     tensor,
     ternary_exponent,
+    wronskian_matrix,
 )
 from qubitflow.polynomials import Polynomial
 from qubitflow.states import bits_of_index
@@ -291,6 +296,9 @@ def test_config_validation():
         position_map(make_basis_state(3, "000"), make_position_config(2))
 
 
+_F01 = charge_map(make_basis_state(2, "01"))
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -314,11 +322,21 @@ def test_config_validation():
         (lambda: ternary_exponent("02", True), "d must be an integer, got True"),
         (lambda: sufficient_charge_bound(2.0), "n must be an integer, got 2.0"),
         (lambda: necessary_charge_bound(True), "n must be an integer, got True"),
+        (lambda: circle_inner_product(_F01, _F01, nodes=9.5), "nodes must be an integer, got 9.5"),
+        (lambda: circle_inner_product(_F01, _F01, nodes="9"), "nodes must be an integer, got '9'"),
+        (lambda: wronskian_matrix([_F01], 0.5, order=2.7), "order must be an integer, got 2.7"),
+        (lambda: derivative_eval(_F01, 0.5, 2.5), "max_order must be an integer, got 2.5"),
+        (lambda: derivative_eval(_F01, 0.5, True), "max_order must be an integer, got True"),
+        (lambda: sample_grid(_F01, (-2, 2, -2, 2), (2.9, 3)), "nx must be an integer, got 2.9"),
+        (lambda: stereographic_project(_F01, (2.9, 3.0)), "n_theta must be an integer, got 2.9"),
+        (lambda: nonsingularity_gap(np.eye(2), 2.5), "sweeps must be an integer, got 2.5"),
     ],
     ids=["laurent", "laurent-whole-float", "laurent-zero-term", "pole-order", "charge-config", "charge-map",
          "position-config", "config-n", "exponent-d", "exponent-offset", "ternary-d", "config-n-bool",
          "charge-config-bool", "laurent-bool", "laurent-numpy-bool", "pole-order-bool", "exponent-d-bool",
-         "ternary-d-bool", "sufficient-bound-float", "necessary-bound-bool"],
+         "ternary-d-bool", "sufficient-bound-float", "necessary-bound-bool", "circle-nodes-float",
+         "circle-nodes-str", "wronskian-order", "derivative-order", "derivative-order-bool", "grid-resolution",
+         "sphere-resolution", "gap-sweeps"],
 )
 def test_counts_exponents_and_pole_orders_must_be_integers(build, message):
     # before, int() truncated each of these silently: charge_map(|01>, 2.5) gave {1: 1}; and

@@ -9,7 +9,7 @@ one of these patterns.
 
 Separability has one definition, in state terms: psi is separable when some
 product state w has ||psi - lam w|| <= tau ||psi||, tau = ``FACTOR_SV_RTOL``.
-The SVD oracle takes w from rank-1 factors of psi; the halo check reads w off
+The SVD oracle takes w from each qubit's unfolding; the halo check reads w off
 the halos and tests it on the state recovered from the numerator.  Zeros on
 a center are certified once, by ``extract_defects``, at exactly its location.
 ``GROUP_RTOL`` only proposes which other zeros form a halo: each vertex of a
@@ -20,14 +20,13 @@ multiplicity fails (where a greedy search takes a farther zero).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import RationalField, RepresentationConfig, _basis, _poles, position_map
 from .polynomials import _order, roots
-from .states import FACTOR_SV_RTOL, QubitState, factor_out_qubit
+from .states import FACTOR_SV_RTOL, QubitState, _scaled, _splits, _unfold
 
 GROUP_RTOL = 1e-4
 
@@ -231,19 +230,19 @@ def _kron(factors) -> np.ndarray:
 
 
 def _is_product(psi: np.ndarray, factors) -> bool:
-    """The separability rule: min over lam of ||psi - lam w|| <= tau ||psi||, w = kron(factors)."""
-    w = _kron(factors)
+    """The separability rule: min over lam of ||psi - lam w|| <= tau ||psi||, w = kron(factors),
+    fitted on psi and w scaled by ``_scaled``, so the verdict depends on neither one's scale."""
+    psi, w = _scaled(psi)[0], _scaled(_kron(factors))[0]
     resid = np.linalg.norm(psi - np.vdot(w, psi) / np.vdot(w, w) * w)
     return bool(resid <= FACTOR_SV_RTOL * np.linalg.norm(psi))
 
 
 def _als_sweep(psi: np.ndarray, factors) -> list[np.ndarray]:
     """One alternating-least-squares sweep of the rank-1 fit of psi, factor by factor."""
-    t = psi.reshape((2,) * len(factors))
     factors = list(factors)
     for j in range(len(factors)):
         others = _kron(factors[:j] + factors[j + 1 :])
-        factors[j] = np.moveaxis(t, j, 0).reshape(2, -1) @ others.conj()
+        factors[j] = _unfold(psi, len(factors), j + 1) @ others.conj()
     return factors
 
 
@@ -278,10 +277,8 @@ def field_separability(
     if not report.all_accounted():
         return False, ()
     basis = _basis(cfg)
-    # N times the power of two that brings its largest part into [0.5, 1): exact, so the
-    # scale-free rule below reads the same bits and no field's magnitude over- or underflows it
-    parts = basis.align(field).view(float)
-    numer, rec = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(complex), basis.recovery
+    # N scaled exactly, so the scale-free rule reads the same bits at any magnitude of the field
+    numer, rec = _scaled(basis.align(field))[0], basis.recovery
     try:
         basis.recover(numer)  # only the span rule raises here
     except ValueError:
@@ -306,29 +303,21 @@ def is_separable_geometric(
     return field_separability(position_map(state, cfg), cfg)
 
 
-def is_separable_tensor(state: QubitState) -> bool:
-    """SVD oracle: peel rank-1 factors one qubit at a time, then apply the one rule."""
+def _cuts(state: QubitState) -> list:
+    """The SVD (u, s, vh) of each qubit's unfolding, qubit 1 first; the zero vector has none."""
     if state.norm() == 0:
         raise ValueError("the zero vector has no separability")
-    factors, rest = [], state.amplitudes
-    for _ in range(state.n - 1):
-        u, s, vh = np.linalg.svd(rest.reshape(2, -1), full_matrices=False)
-        factors.append(u[:, 0])
-        rest = s[0] * vh[0]
-    return _is_product(state.amplitudes, factors + [rest])
+    psi, n = state.amplitudes, state.n
+    return [np.linalg.svd(_unfold(psi, n, j), full_matrices=False) for j in range(1, n + 1)]
+
+
+def is_separable_tensor(state: QubitState) -> bool:
+    """SVD oracle: the one rule on w = kron of each qubit's leading left singular vector on its
+    unfolding (the rank-1 HOSVD witness); the verdict does not depend on the state's scale."""
+    return _is_product(state.amplitudes, [u[:, 0] for u, _, _ in _cuts(state)])
 
 
 def factorizable_qubits(state: QubitState) -> tuple[int, ...]:
-    """1-based positions that split off as unentangled tensor factors."""
-    if state.norm() == 0:
-        raise ValueError("the zero vector has no separability")
-    if state.n == 1:
-        return (1,)
-    out = []
-    for j in range(1, state.n + 1):
-        try:
-            factor_out_qubit(state, j)
-            out.append(j)
-        except ValueError:
-            pass
-    return tuple(out)
+    """1-based positions that split off as unentangled tensor factors: those whose unfolding
+    passes ``_splits``, the rule ``factor_out_qubit`` applies, at any scale of the state."""
+    return tuple(j for j, (_, s, _) in enumerate(_cuts(state), 1) if _splits(s))

@@ -8,6 +8,7 @@ and ``amplitudes.reshape((2,)*n)`` puts qubit j on axis j-1.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ class QubitState:
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """||amplitudes|| at any scale: taken on the ``_scaled`` amplitudes, then scaled back exactly."""
+        scaled, exponent = _scaled(self.amplitudes)
+        return float(np.ldexp(np.linalg.norm(scaled), exponent))
 
     def normalized(self) -> "QubitState":
         nrm = self.norm()
@@ -61,6 +64,14 @@ class QubitState:
     def from_dict(cls, data: dict) -> "QubitState":
         amps = [complex_from_pair(a) for a in data["amplitudes"]]
         return cls(data["n"], np.array(amps))
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Complex x times the power of two 2^-e that brings its largest real or imaginary part into
+    [0.5, 1), and e.  The scaling is exact, so a scale-free rule reads the same bits at every scale."""
+    parts = x.view(float)
+    exponent = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -exponent).view(complex), exponent
 
 
 def complex_from_pair(pair) -> complex:
@@ -224,23 +235,31 @@ def _qft_prefix(state: QubitState, k: int, inverse: bool = False) -> QubitState:
     return QubitState(state.n, (f[:, :, None] * state.amplitudes.reshape(size, -1)).sum(axis=1).reshape(-1))
 
 
+def _unfold(amplitudes: np.ndarray, n: int, j: int) -> np.ndarray:
+    """The 2 x 2^(n-1) unfolding of an n-qubit amplitude vector with qubit j (1-based) first."""
+    return np.moveaxis(amplitudes.reshape((2,) * n), j - 1, 0).reshape(2, -1)
+
+
+def _splits(s: np.ndarray) -> bool:
+    """The product rule at a cut with singular values s: its best product leaves ||s[1:]|| <= tau ||s||."""
+    return math.hypot(*s[1:]) <= FACTOR_SV_RTOL * math.hypot(*s)
+
+
 def factor_out_qubit(state: QubitState, target: int) -> tuple[QubitState, QubitState]:
     """Split a product state into (rest, single qubit at ``target``).
 
-    Raises ``ValueError`` when the target qubit is entangled with the rest,
-    judged by the second singular value of the 2 x 2^(n-1) reshape.
+    Raises ``ValueError`` when the target qubit is entangled with the rest: when its
+    unfolding fails ``_splits``, the per-cut rule of ``factorizable_qubits``, at any scale.
     """
     target = checked_int(target, "target")
     if state.n < 2:
         raise ValueError("need at least two qubits to factor")
     if not 1 <= target <= state.n:
         raise ValueError(f"target {target} out of range 1..{state.n}")
-    tensor_amps = state.amplitudes.reshape((2,) * state.n)
-    mat = np.moveaxis(tensor_amps, target - 1, 0).reshape(2, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = np.linalg.svd(_unfold(state.amplitudes, state.n, target), full_matrices=False)
     if s[0] == 0:
         raise ValueError("cannot factor the zero vector")
-    if s[1] > FACTOR_SV_RTOL * s[0]:
+    if not _splits(s):
         raise ValueError(f"qubit {target} is entangled (ratio {s[1] / s[0]:.2e})")
     single = QubitState(1, u[:, 0] * np.sqrt(s[0]))
     rest = QubitState(state.n - 1, vh[0] * np.sqrt(s[0]))

@@ -13,10 +13,13 @@ from qubitflow import (
     Polynomial,
     QubitState,
     RationalField,
+    factor_out_qubit,
+    factorizable_qubits,
     field_separability,
     is_separable_geometric,
     is_separable_tensor,
     make_basis_state,
+    make_named_state,
     make_position_config,
     position_map,
     qft,
@@ -174,3 +177,93 @@ def test_far_centre_basis_state_reads_as_a_product():
     st = make_basis_state(3, "000")
     assert is_separable_tensor(st)
     assert field_separability(position_map(st, cfg), cfg)[0]
+
+
+def peel_oracle(st):
+    """Reference: peel rank-1 factors one qubit at a time, then apply the one rule."""
+    factors, rest = [], st.amplitudes
+    for _ in range(st.n - 1):
+        u, s, vh = np.linalg.svd(rest.reshape(2, -1), full_matrices=False)
+        factors.append(u[:, 0])
+        rest = s[0] * vh[0]
+    w = np.ones(1, dtype=complex)
+    for q in factors + [rest]:
+        w = np.kron(w, q)
+    psi = st.amplitudes
+    return bool(np.linalg.norm(psi - np.vdot(w, psi) / np.vdot(w, w) * w) <= TAU * np.linalg.norm(psi))
+
+
+def ratio_factorizable(st):
+    """Reference: the qubits whose cut has Schmidt ratio s1 / s0 <= tau."""
+    if st.n == 1:
+        return (1,)
+    tensor_amps = st.amplitudes.reshape((2,) * st.n)
+    out = []
+    for axis in range(st.n):
+        s = np.linalg.svd(np.moveaxis(tensor_amps, axis, 0).reshape(2, -1), full_matrices=False)[1]
+        if s[1] <= TAU * s[0]:
+            out.append(axis + 1)
+    return tuple(out)
+
+
+def skewed_product(rng, n):
+    """A seeded product whose qubits have |beta / alpha| = 10**U(-7, 7) and random phases."""
+    ratios = 10.0 ** rng.uniform(-7.0, 7.0, size=n)
+    qubits = [QubitState(1, np.exp(2j * np.pi * rng.random(2)) * [1.0, r]) for r in ratios]
+    st = qubits[0]
+    for q in qubits[1:]:
+        st = tensor(st, q)
+    return st
+
+
+FAMILIES = {"product": random_product, "near": near_product, "skew": skewed_product, "generic": random_state}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_per_cut_witness_and_rule_match_the_references(family, n):
+    # the HOSVD witness decides as peeling did, and the residual rule s1 <= tau ||s||
+    # as the ratio rule s1 <= tau s0 did, off an ulp-wide band at the threshold
+    rng = np.random.default_rng([30, n, sorted(FAMILIES).index(family)])
+    for _ in range(100):
+        st = FAMILIES[family](rng, n)
+        assert is_separable_tensor(st) == peel_oracle(st)
+        assert factorizable_qubits(st) == ratio_factorizable(st)
+
+
+@pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+def test_per_qubit_answers_agree_at_the_threshold(side):
+    # a 2-qubit state whose cut has s1 / s0 = tau (1 -+ 1e-3), turned by seeded local unitaries
+    rng = np.random.default_rng(31)
+    u1, u2 = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2))
+    st = QubitState(2, np.kron(u1, u2) @ np.array([1.0, 0.0, 0.0, TAU * side])).normalized()
+    split = side < 1
+    for target in (1, 2):
+        if split:
+            factor_out_qubit(st, target)
+        else:
+            with pytest.raises(ValueError, match="entangled"):
+                factor_out_qubit(st, target)
+    assert factorizable_qubits(st) == ((1, 2) if split else ())
+    assert is_separable_tensor(st) == split
+
+
+def scale_cases():
+    rng = np.random.default_rng(32)
+    products = [random_product(rng, n) for n in (2, 3, 4)]
+    near = QubitState(3, random_product(rng, 3).amplitudes + 1e-12 * random_state(rng, 3).amplitudes)
+    return [make_named_state("bell00+", 2), make_named_state("ghz", 3), *products, near.normalized()]
+
+
+@pytest.mark.parametrize("k", [-900, -600, -200, 200, 600, 900])
+@pytest.mark.parametrize("index", range(6))
+def test_verdicts_and_normalized_bits_do_not_depend_on_scale(index, k):
+    # every nonzero part of 2**k psi stays a normal float, so the scale-free rule
+    # must read it as psi, and normalizing it must give the same bits
+    st = scale_cases()[index]
+    scaled = QubitState(st.n, st.amplitudes * 2.0**k)
+    cfg = make_position_config(st.n)
+    assert is_separable_tensor(scaled) == is_separable_tensor(st)
+    assert factorizable_qubits(scaled) == factorizable_qubits(st)
+    assert is_separable_geometric(scaled, cfg)[0] == is_separable_geometric(st, cfg)[0]
+    assert scaled.normalized().amplitudes.tobytes() == st.normalized().amplitudes.tobytes()
